@@ -21,14 +21,16 @@ from .conjugacy import (
 )
 from .factors import (
     CanonicalFactor,
+    complement,
     enumerate_factors,
     factor_to_word,
+    meet,
     precedes,
     tau,
 )
 from .fdtc import fdtc_bounds
 from .normal_form import lcf, lcf_to_word
-from .positivity import is_conj_strictly_asqp, is_sqp, nb_conjugacy_report, nb_report
+from .positivity import _nb_from_form, _strictly_asqp_verdict
 from .render import render_svg
 from .words import ParseError, parse_word
 
@@ -128,27 +130,27 @@ def _cmd_conjugate(args) -> tuple[dict, str]:
 
 
 def _cmd_classify(args) -> tuple[dict, str]:
-    w = _word(args)
-    verdict = is_conj_strictly_asqp(w, args.budget)
-    form = lcf(w)
+    form = lcf(_word(args))
+    summit = sss_representative(form)
+    verdict = _strictly_asqp_verdict(summit, args.budget)
     payload = {
-        "sqp": is_sqp(w),
-        "conj_sqp": sss_representative(w).inf_conj >= 0,
+        "sqp": form.inf >= 0,
+        "conj_sqp": summit.inf_conj >= 0,
         "asqp_necessary": form.inf >= -1,
         "conj_strictly_asqp": verdict.holds,
         "conj_strictly_asqp_definitive": verdict.definitive,
-        "nb": nb_report(w).to_json(),
-        "nb_class": nb_conjugacy_report(w).to_json(),
+        "nb": _nb_from_form(form).to_json(),
+        "nb_class": _nb_from_form(summit.representative).to_json(),
     }
     human = "\n".join(f"{k}: {v}" for k, v in payload.items())
     return payload, human
 
 
 def _cmd_nb(args) -> tuple[dict, str]:
-    w = _word(args)
+    form = lcf(_word(args))
     payload = {
-        "word_level": nb_report(w).to_json(),
-        "class_level": nb_conjugacy_report(w).to_json(),
+        "word_level": _nb_from_form(form).to_json(),
+        "class_level": _nb_from_form(sss_representative(form).representative).to_json(),
     }
     human = "\n".join(
         f"{scope}: lower={rep['lower']} upper={rep['upper']} exact={rep['exact']}"
@@ -204,7 +206,7 @@ def pair_rows(n: int) -> list[dict]:
     rows = []
     for a in enumerate_factors(n):
         for b in enumerate_factors(n):
-            increasable = bool(a.right_set & b.starting_set)
+            increasable = not meet(complement(a), b).is_identity
             wa, wb = left_weight_pair(a, b)
             rows.append(
                 {

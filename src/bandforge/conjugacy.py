@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .factors import enumerate_factors, factor_to_word, tau
 from .normal_form import LeftCanonicalForm, lcf, lcf_of_factors, lcf_to_word
@@ -44,8 +44,14 @@ class BudgetExceededError(RuntimeError):
 
 
 def default_budget() -> int:
+    """The budget from BANDFORGE_BUDGET when set, else DEFAULT_SSS_BUDGET."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_SSS_BUDGET
+    if not raw:
+        return DEFAULT_SSS_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def cycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
@@ -123,9 +129,13 @@ def _improvement_phase(
     return form, witness
 
 
-def sss_representative(w: BraidWord) -> SummitData:
-    """A conjugate attaining inf and sup of the conjugacy class simultaneously."""
-    form = lcf(w)
+def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
+    """A conjugate attaining inf and sup of the conjugacy class simultaneously.
+
+    Accepts the word or its normal form, so a caller that already holds
+    lcf(w) does not recompute it.
+    """
+    form = w if isinstance(w, LeftCanonicalForm) else lcf(w)
     witness = BraidWord(w.n)
     while True:
         before = (form.power, form.sup)
@@ -147,6 +157,9 @@ def sss_enumerate(
     if data.sss is not None:
         return data.sss
     limit = default_budget() if budget is None else budget
+    if limit < 1:
+        source = BUDGET_ENV_VAR if budget is None else "budget"
+        raise ValueError(f"{source} must be at least 1, got {limit}")
     n = data.representative.n
     target = (data.inf_conj, data.sup_conj)
     conjugators = [

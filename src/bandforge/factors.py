@@ -8,9 +8,14 @@ the punctured-disk diagram and contributing a positive word of length k-1.
 The identity e is the all-singletons partition, the fundamental element
 delta the one-block partition.
 
+The prefix order is refinement, so the greatest common prefix A ^ B (meet)
+is the common refinement.  As a permutation a factor sends each k to the
+previous element of its block, cyclically; products and left quotients of
+factors, when they are factors again, are products of these permutations,
+their cycles being the blocks.
+
 Everything here is a pure function of immutable values.  Factors are
-interned per (n, blocks); the derived data that normal-form computations
-hammer on (starting sets, complements, ...) is cached on the factor or in
+interned per (n, blocks); complements and rotations are cached in
 module-level memo tables.
 """
 
@@ -70,21 +75,6 @@ class CanonicalFactor:
     @cached_property
     def block_of(self) -> dict[int, tuple[int, ...]]:
         return {x: b for b in self.blocks for x in b}
-
-    @cached_property
-    def starting_set(self) -> frozenset[Chord]:
-        """Positive generators left-dividing this factor: same-block pairs."""
-        chords = set()
-        for block in self.blocks:
-            for i, s in enumerate(block):
-                for t in block[i + 1 :]:
-                    chords.add((t, s))
-        return frozenset(chords)
-
-    @cached_property
-    def right_set(self) -> frozenset[Chord]:
-        """Generators c with A*c still a canonical factor: S(complement(A))."""
-        return complement(self).starting_set
 
     def non_singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) > 1)
@@ -231,50 +221,23 @@ def complement(a: CanonicalFactor) -> CanonicalFactor:
     return factor(n, tuple(tuple(g) for g in groups.values()))
 
 
-# Function views of the cached per-factor sets, for symmetry with the rest
-# of the operations.
-def starting_set(a: CanonicalFactor) -> frozenset[Chord]:
-    return a.starting_set
-
-
-def right_set(a: CanonicalFactor) -> frozenset[Chord]:
-    return a.right_set
-
-
-@lru_cache(maxsize=None)
-def merge(a: CanonicalFactor, c: Chord) -> CanonicalFactor:
-    """The factor A*c for c in R(A): union the blocks containing c's strands."""
-    if c not in a.right_set:
-        raise ValueError(f"generator {c} is not in the right set of {a.text()}")
-    t, s = c
-    bs, bt = a.block_of[s], a.block_of[t]
-    rest = [b for b in a.blocks if b is not bs and b is not bt]
-    return factor(a.n, rest + [bs + bt])
-
-
-@lru_cache(maxsize=None)
-def split_left(b: CanonicalFactor, c: Chord) -> CanonicalFactor:
-    """The factor B' with c * B' = B, for c in S(B).
-
-    The block V containing both strands of c splits into
-    V1 = {x in V : s < x <= t} and V2 = V minus V1.
-    """
-    if c not in b.starting_set:
-        raise ValueError(f"generator {c} is not in the starting set of {b.text()}")
-    t, s = c
-    v = b.block_of[s]
-    v1 = tuple(x for x in v if s < x <= t)
-    v2 = tuple(x for x in v if not s < x <= t)
-    rest = [blk for blk in b.blocks if blk is not v]
-    return factor(b.n, rest + [v1, v2])
-
-
 def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     """The prefix order A < B: every block of A lies inside a block of B."""
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
     lookup = b.block_of
     return all(all(lookup[x] is lookup[block[0]] for x in block) for block in a.blocks)
+
+
+def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
+    """The greatest common prefix A ^ B: blocks are the non-empty intersections of blocks."""
+    if a.n != b.n:
+        raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
+    la, lb = a.block_of, b.block_of
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k in range(1, a.n + 1):
+        groups.setdefault((la[k][0], lb[k][0]), []).append(k)
+    return factor(a.n, groups.values())
 
 
 @lru_cache(maxsize=None)
@@ -303,26 +266,50 @@ def tau_word(w: BraidWord, k: int = 1) -> BraidWord:
     )
 
 
+def _perm(a: CanonicalFactor) -> list[int]:
+    """The factor's permutation: k -> the previous element of k's block, cyclically.
+
+    Entry k is the image of k; entry 0 is unused (and fixed).
+    """
+    p = list(range(a.n + 1))
+    for block in a.blocks:
+        for i, x in enumerate(block):
+            p[x] = block[i - 1]
+    return p
+
+
+def _from_perm(n: int, p: Sequence[int]) -> CanonicalFactor:
+    """The factor whose blocks are the cycles of the permutation p (entry 0 unused)."""
+    seen = [False] * (n + 1)
+    blocks = []
+    for start in range(1, n + 1):
+        block, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            block.append(k)
+            k = p[k]
+        blocks.append(block)
+    return factor(n, blocks)
+
+
 def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
     """The product A*B when it is again a canonical factor, else None.
 
-    Definedness is decided by normalizing word(A)word(B): the product is a
-    factor exactly when the normal form is delta^0 with at most one factor,
-    or delta^1 with none.
+    A*B is a factor exactly when B is a prefix of complement(A); its
+    permutation is then k -> pa[pb[k]].
     """
-    if a.n != b.n:
-        raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    from .normal_form import lcf
+    if not precedes(b, complement(a)):
+        return None
+    pa = _perm(a)
+    return _from_perm(a.n, [pa[x] for x in _perm(b)])
 
-    form = lcf(factor_to_word(a) * factor_to_word(b))
-    shape = (form.power, len(form.factors))
-    if shape == (0, 0):
-        return identity_factor(a.n)
-    if shape == (1, 0):
-        return delta_factor(a.n)
-    if shape == (0, 1):
-        return form.factors[0]
-    return None
+
+def _left_quotient(c: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
+    """The factor C^-1 * B for a prefix C of B: k -> pc^-1[pb[k]]."""
+    pc_inv = [0] * (c.n + 1)
+    for k, x in enumerate(_perm(c)):
+        pc_inv[x] = k
+    return _from_perm(c.n, [pc_inv[x] for x in _perm(b)])
 
 
 def star(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:

@@ -3,8 +3,8 @@ Left canonical form for band-generator braid words.
 
 Every braid has a unique expression delta^r A_1 ... A_k with each A_i a
 canonical factor other than e or delta and every adjacent pair maximally
-left weighted (no generator of S(A_{i+1}) transfers into A_i, i.e.
-R(A_i) & S(A_{i+1}) is empty).  The exponent r is inf, r + k is sup, and k
+left weighted (no nontrivial prefix of A_{i+1} can move into A_i, i.e.
+complement(A_i) ^ A_{i+1} = e).  The exponent r is inf, r + k is sup, and k
 is the canonical length.
 
 The computation is the classical one:
@@ -13,7 +13,8 @@ The computation is the classical one:
    delta^-1 commutes to the front, rotating everything it passes by tau^-1;
 2. identity factors are dropped, delta factors are absorbed into the power
    (rotating the factors to their left by tau);
-3. adjacent pairs are left-weighted until no pair can transfer.
+3. adjacent pairs (A, B) are left-weighted until every pair is weighted:
+   with C = complement(A) ^ B, the pair becomes (A*C, C^-1 * B).
 
 Step 3 runs a worklist to a fixed point; by uniqueness of the normal form
 the processing order cannot matter, which the test suite also checks by
@@ -28,11 +29,12 @@ from typing import Iterable, Sequence
 
 from .factors import (
     CanonicalFactor,
+    _left_quotient,
     complement,
+    diamond,
     factor_to_word,
     gen_factor,
-    merge,
-    split_left,
+    meet,
     tau,
 )
 from .words import BraidWord, delta_word
@@ -66,7 +68,7 @@ class LeftCanonicalForm:
             if f.is_identity or f.is_delta:
                 raise AssertionError(f"illegal factor {f.text()} in normal form")
         for a, b in zip(self.factors, self.factors[1:]):
-            if a.right_set & b.starting_set:
+            if not meet(complement(a), b).is_identity:
                 raise AssertionError(
                     f"pair {a.text()} | {b.text()} is not maximally left weighted"
                 )
@@ -95,20 +97,17 @@ class LeftCanonicalForm:
 def left_weight_pair(
     a: CanonicalFactor, b: CanonicalFactor
 ) -> tuple[CanonicalFactor, CanonicalFactor]:
-    """Transfer generators from the head of B into A until R(A') & S(B') = 0.
+    """The left-weighted factorization A'B' of the product AB.
 
-    The terminal pair is the left-weighted factorization of the product AB,
-    so the choice of transferred generator cannot affect the result; the
-    smallest chord is taken for determinism.  At most n-1 transfers happen
-    since each grows A by one letter.
+    C = complement(A) ^ B is the largest prefix of B that A can absorb, so
+    the pair becomes (A*C, C^-1 * B); C = e means AB is already weighted.
     """
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    while common := a.right_set & b.starting_set:
-        c = min(common)
-        a = merge(a, c)
-        b = split_left(b, c)
-    return a, b
+    c = meet(complement(a), b)
+    if c.is_identity:
+        return a, b
+    return diamond(a, c), _left_quotient(c, b)
 
 
 def _normalize(n: int, power: int, factors: Iterable[CanonicalFactor]) -> LeftCanonicalForm:
@@ -186,9 +185,7 @@ def append_letter(form: LeftCanonicalForm, t: int, s: int, sign: int) -> LeftCan
 
 def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
     """A word for the normal form: delta^r expanded, then the factor words."""
-    d = delta_word(form.n)
-    prefix = (d if form.power >= 0 else d.inverse()).letters * abs(form.power)
-    letters = list(prefix)
+    letters = list((delta_word(form.n) ** form.power).letters)
     for f in form.factors:
         letters += factor_to_word(f).letters
     return BraidWord(form.n, tuple(letters))
@@ -197,41 +194,3 @@ def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
 def inf_sup_len(form: LeftCanonicalForm) -> tuple[int, int, int]:
     """(inf, sup, canonical length) = (r, r + k, k)."""
     return form.inf, form.sup, form.canonical_length
-
-
-def normalize_random_order(
-    n: int, power: int, factors: Sequence[CanonicalFactor], rng
-) -> LeftCanonicalForm:
-    """Fixed point of randomized pair processing; must agree with lcf()."""
-    fs: list[CanonicalFactor] = []
-    r = power
-    for f in factors:
-        if f.is_identity:
-            continue
-        if f.is_delta:
-            r += 1
-            fs = [tau(g) for g in fs]
-        else:
-            fs.append(f)
-    while True:
-        violations = [
-            i
-            for i in range(len(fs) - 1)
-            if fs[i].right_set & fs[i + 1].starting_set
-        ]
-        if not violations:
-            break
-        i = rng.choice(violations)
-        common = sorted(fs[i].right_set & fs[i + 1].starting_set)
-        c = rng.choice(common)
-        a, b = merge(fs[i], c), split_left(fs[i + 1], c)
-        if b.is_identity:
-            fs[i : i + 2] = [a]
-        else:
-            fs[i], fs[i + 1] = a, b
-        if a.is_delta:
-            r += 1
-            for j in range(i):
-                fs[j] = tau(fs[j])
-            del fs[i]
-    return LeftCanonicalForm(n, r, tuple(fs))

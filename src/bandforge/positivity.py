@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .conjugacy import sss_enumerate, sss_representative
+from .conjugacy import SummitData, sss_enumerate, sss_representative
 from .factors import CanonicalFactor, complement, factor_to_word, tau
 from .normal_form import LeftCanonicalForm, lcf
 from .words import BraidWord, delta_word
@@ -57,8 +57,7 @@ class ReducedWord:
         return self.power >= 0 or all(sign < 0 for _, sign in self.entries)
 
     def to_word(self) -> BraidWord:
-        d = delta_word(self.n)
-        letters = list((d if self.power >= 0 else d.inverse()).letters * abs(self.power))
+        letters = list((delta_word(self.n) ** self.power).letters)
         for f, sign in self.entries:
             fw = factor_to_word(f)
             letters += (fw if sign > 0 else fw.inverse()).letters
@@ -170,9 +169,10 @@ def _nb_from_form(form: LeftCanonicalForm) -> NbReport:
     lower = -inf
     formula = (n - 2) * (-inf) - min(0, sup)
     upper = min(formula, reduced_count)
-    if n == 3:
-        # The reduction count must agree with the closed 3-braid formula.
-        assert reduced_count == formula, (reduced_count, formula)
+    if n == 3 and reduced_count != formula:
+        raise RuntimeError(
+            f"reduction count {reduced_count} disagrees with the 3-braid formula {formula}"
+        )
     exact = reduced_count if n <= 4 else None
     return NbReport(lower, upper, exact, reduced_count)
 
@@ -212,8 +212,11 @@ class StrictAsqpVerdict:
 
 def is_conj_strictly_asqp(w: BraidWord, budget: Optional[int] = None) -> StrictAsqpVerdict:
     """Test conjugacy to a braid with exactly one negative band."""
-    n = w.n
-    data = sss_representative(w)
+    return _strictly_asqp_verdict(sss_representative(w), budget)
+
+
+def _strictly_asqp_verdict(data: SummitData, budget: Optional[int]) -> StrictAsqpVerdict:
+    n = data.representative.n
     if data.inf_conj != -1:
         return StrictAsqpVerdict(False, n <= 4)
     target = n - 2

@@ -164,8 +164,7 @@ def parse_word(text: str, n: int) -> BraidWord:
         elif m := _DELTA_RE.match(token):
             sign = 1 if m.group(1).islower() else -1
             power = sign * (1 if m.group(2) is None else int(m.group(2)))
-            block = delta_word(n) if power > 0 else delta_word(n).inverse()
-            letters += block.letters * abs(power)
+            letters += (delta_word(n) ** power).letters
         elif (m := _ALIAS_RE.match(token)) and n == 4:
             kind, idx = m.group(1), int(m.group(2))
             key = (kind.lower(), idx)
@@ -215,15 +214,3 @@ def writhe(w: BraidWord) -> int:
     """Exponent sum: positive letters minus negative letters."""
     return sum(l.sign for l in w.letters)
 
-
-def random_word(
-    n: int, length: int, rng, negative_fraction: float = 0.0
-) -> BraidWord:
-    """Uniform random word; each letter is negated with the given probability."""
-    pairs = [(t, s) for t in range(2, n + 1) for s in range(1, t)]
-    letters = []
-    for _ in range(length):
-        t, s = rng.choice(pairs)
-        sign = -1 if rng.random() < negative_fraction else 1
-        letters.append(BandLetter(t, s, sign))
-    return BraidWord(n, tuple(letters))

@@ -21,7 +21,6 @@ from bandforge.normal_form import (
     lcf,
     lcf_to_word,
     left_weight_pair,
-    normalize_random_order,
 )
 from bandforge.oracle import _ball_key, delta_factorizations, element_key
 from bandforge.positivity import (
@@ -45,6 +44,7 @@ from conftest import (
 from test_fdtc import TWO_FACTOR_FDTC, WORDS
 from test_oracle import DELTA_WORDS_LISTED
 from test_tables import INCREASABLE_ROWS, NON_INCREASING_ROWS, rotation_classes
+from transfer_reference import normalize_random_order, right_set, starting_set
 
 DELTA_TRIANGLE_WORD = "b2 a1 b1 a4 a2"
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
@@ -92,16 +92,16 @@ def test_criterion_03_pair_tables():
     table = rotation_classes()
     for row in INCREASABLE_ROWS:
         a, b, wa, wb = (b4(name) for name in row)
-        assert a.right_set & b.starting_set
+        assert right_set(a) & starting_set(b)
         assert left_weight_pair(a, b) == (wa, wb)
     for row in NON_INCREASING_ROWS:
         a, b = b4(row[0]), b4(row[1])
-        assert not a.right_set & b.starting_set
+        assert not right_set(a) & starting_set(b)
     pairs = 0
     for a in enumerate_factors(4):
         for b in enumerate_factors(4):
             pairs += 1
-            increasable = bool(a.right_set & b.starting_set)
+            increasable = bool(right_set(a) & starting_set(b))
             if a.is_delta or b.is_identity:
                 assert not increasable
             elif a.is_identity or b.is_delta:

@@ -3,9 +3,13 @@
 import io
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+import bandforge.cli
+import bandforge.conjugacy
+import bandforge.positivity
 from bandforge.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -106,6 +110,29 @@ class TestAnalysisCommands:
         data = json.loads(capture(["nb", "-n", "4", "A1", "--json"]))
         assert data["word_level"]["exact"] == 1
 
+    @pytest.mark.parametrize("command", ["classify", "nb"])
+    def test_one_normal_form_and_one_summit(self, command, monkeypatch):
+        # A positive word: its summit has inf >= 0, so no enumeration runs
+        # and every normal form computed is one the command asked for.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (bandforge.cli, bandforge.conjugacy, bandforge.positivity):
+            monkeypatch.setattr(module, "lcf", counted("lcf", module.lcf))
+        monkeypatch.setattr(
+            bandforge.cli,
+            "sss_representative",
+            counted("sss_representative", bandforge.cli.sss_representative),
+        )
+        capture([command, "-n", "4", "a1 a2 b1", "--json"])
+        assert calls == {"lcf": 1, "sss_representative": 1}
+
     def test_fdtc(self):
         data = json.loads(capture(["fdtc", "-n", "4", "d a1", "--json"]))
         assert data == {"lower": "1/4", "upper": "1/2", "exact": None}
@@ -156,6 +183,31 @@ class TestExitCodes:
 
     def test_budget_exceeded(self):
         capture(["sss", "-n", "4", "a1", "--enumerate", "--budget", "2"], expect_code=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sss", "-n", "4", "a1", "--enumerate"],
+            ["conjugate", "-n", "4", "a1", "a2"],
+            ["classify", "-n", "4", "A1"],
+        ],
+    )
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one(self, argv, budget, capsys):
+        capture(argv + ["--budget", budget], expect_code=1)
+        assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ("0", "BANDFORGE_BUDGET must be at least 1, got 0"),
+            ("abc", "BANDFORGE_BUDGET must be an integer, got 'abc'"),
+        ],
+    )
+    def test_bad_budget_variable(self, raw, message, monkeypatch, capsys):
+        monkeypatch.setenv("BANDFORGE_BUDGET", raw)
+        capture(["sss", "-n", "4", "a1", "--enumerate"], expect_code=1)
+        assert message in capsys.readouterr().err
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.json"

@@ -182,6 +182,12 @@ class TestSssEnumeration:
             sss_enumerate(data, budget=3)
         assert info.value.partial_count == 3
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        data = sss_representative(w4(KNOT_7_2_WORD))
+        with pytest.raises(ValueError, match="at least 1"):
+            sss_enumerate(data, budget=budget)
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("BANDFORGE_BUDGET", "2")
         data = sss_representative(w4(KNOT_7_2_WORD))

@@ -1,4 +1,4 @@
-"""Canonical factors: enumeration, words, sets, complement, order, diamond, star."""
+"""Canonical factors: enumeration, words, sets, complement, order, meet, diamond, star."""
 
 import itertools
 
@@ -15,10 +15,9 @@ from bandforge.factors import (
     factor_to_word,
     gen_factor,
     identity_factor,
-    merge,
+    meet,
     parse_partition_text,
     precedes,
-    split_left,
     star,
     tau,
     DiskLayout,
@@ -27,6 +26,7 @@ from bandforge.oracle import positive_equal
 from bandforge.words import delta_word, parse_word
 
 from conftest import assert_same_braid, b4
+from transfer_reference import merge, right_set, split_left, starting_set
 
 
 # Independent oracles --------------------------------------------------------
@@ -137,18 +137,18 @@ class TestFactorWord:
 
 class TestStartingSet:
     def test_triangle(self):
-        assert b4("a2a1").starting_set == {(2, 1), (3, 2), (3, 1)}
+        assert starting_set(b4("a2a1")) == {(2, 1), (3, 2), (3, 1)}
 
     def test_delta_has_all(self):
-        assert delta_factor(4).starting_set == frozenset(all_chords(4))
+        assert starting_set(delta_factor(4)) == frozenset(all_chords(4))
 
     def test_identity_empty(self):
-        assert identity_factor(4).starting_set == frozenset()
+        assert starting_set(identity_factor(4)) == frozenset()
 
     def test_left_divisibility(self):
         # c in S(A) iff the split-off remainder satisfies c * A' = A.
         for f in enumerate_factors(4):
-            for c in f.starting_set:
+            for c in starting_set(f):
                 rest = split_left(f, c)
                 w = parse_word(f"a({c[0]},{c[1]})", 4) * factor_to_word(rest)
                 assert_same_braid(w, factor_to_word(f))
@@ -179,23 +179,23 @@ class TestComplement:
 
 class TestRightSet:
     def test_a1(self):
-        assert b4("a1").right_set == {(3, 1), (4, 3), (4, 1)}
+        assert right_set(b4("a1")) == {(3, 1), (4, 3), (4, 1)}
 
     def test_b1(self):
-        assert b4("b1").right_set == {(4, 1), (3, 2)}
+        assert right_set(b4("b1")) == {(4, 1), (3, 2)}
 
     def test_disjoint_edges(self):
-        assert b4("a1a3").right_set == {(3, 1)}
+        assert right_set(b4("a1a3")) == {(3, 1)}
 
     def test_identity_has_all(self):
-        assert identity_factor(4).right_set == frozenset(all_chords(4))
+        assert right_set(identity_factor(4)) == frozenset(all_chords(4))
 
     def test_exactly_the_extendable_generators(self):
         # c in R(A) iff A * c is still a canonical factor (diamond defined).
         for a in enumerate_factors(4):
             for c in all_chords(4):
                 extended = diamond(a, gen_factor(4, *c))
-                assert (extended is not None) == (c in a.right_set), (a.text(), c)
+                assert (extended is not None) == (c in right_set(a)), (a.text(), c)
 
 
 class TestMergeSplit:
@@ -219,22 +219,22 @@ class TestMergeSplit:
 
     def test_merge_is_right_multiplication(self):
         for a in enumerate_factors(4):
-            for c in a.right_set:
+            for c in right_set(a):
                 w = factor_to_word(a) * parse_word(f"a({c[0]},{c[1]})", 4)
                 assert_same_braid(factor_to_word(merge(a, c)), w)
                 assert merge(a, c).word_length == a.word_length + 1
 
     def test_split_inverts_merge_length(self):
         for a in enumerate_factors(4):
-            for c in a.starting_set:
+            for c in starting_set(a):
                 assert split_left(a, c).word_length == a.word_length - 1
 
     def test_merge_split_oracle_five_strands(self):
         for a in enumerate_factors(5):
-            for c in a.right_set:
+            for c in right_set(a):
                 w = factor_to_word(a) * parse_word(f"a({c[0]},{c[1]})", 5)
                 assert_same_braid(factor_to_word(merge(a, c)), w)
-            for c in a.starting_set:
+            for c in starting_set(a):
                 w = parse_word(f"a({c[0]},{c[1]})", 5) * factor_to_word(split_left(a, c))
                 assert_same_braid(w, factor_to_word(a))
 
@@ -309,6 +309,26 @@ class TestTau:
         for a in factors:
             for b in factors:
                 assert precedes(a, b) == precedes(tau(a), tau(b))
+
+
+class TestMeet:
+    def test_examples(self):
+        assert meet(b4("a2a1"), b4("a1a3")) == b4("a1")
+        assert meet(delta_factor(4), b4("b1")) == b4("b1")
+        assert meet(b4("a1"), b4("a3")) == identity_factor(4)
+
+    def test_mismatched_n(self):
+        with pytest.raises(ValueError):
+            meet(identity_factor(3), identity_factor(4))
+
+    def test_greatest_lower_bound(self):
+        factors = enumerate_factors(4)
+        for a in factors:
+            for b in factors:
+                m = meet(a, b)
+                assert precedes(m, a) and precedes(m, b)
+                lower = [f for f in factors if precedes(f, a) and precedes(f, b)]
+                assert all(precedes(f, m) for f in lower), (a.text(), b.text())
 
 
 class TestDiamond:

@@ -11,7 +11,6 @@ from bandforge.normal_form import (
     lcf_of_factors,
     lcf_to_word,
     left_weight_pair,
-    normalize_random_order,
 )
 from bandforge.words import BraidWord, delta_word, parse_word, permutation, writhe
 
@@ -23,6 +22,7 @@ from conftest import (
     random_braid_word,
     w4,
 )
+from transfer_reference import normalize_random_order, right_set, starting_set
 
 
 class TestLeftWeightPair:
@@ -48,7 +48,7 @@ class TestLeftWeightPair:
         for a in factors:
             for b in factors:
                 wa, wb = left_weight_pair(a, b)
-                assert not wa.right_set & wb.starting_set
+                assert not right_set(wa) & starting_set(wb)
                 assert_same_braid(
                     factor_to_word(a) * factor_to_word(b),
                     factor_to_word(wa) * factor_to_word(wb),
@@ -59,7 +59,7 @@ class TestLeftWeightPair:
         for _ in range(250):
             a, b = rng.choice(factors), rng.choice(factors)
             wa, wb = left_weight_pair(a, b)
-            assert not wa.right_set & wb.starting_set
+            assert not right_set(wa) & starting_set(wb)
             assert wa.word_length + wb.word_length == a.word_length + b.word_length
             assert_same_braid(
                 factor_to_word(a) * factor_to_word(b),

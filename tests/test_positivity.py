@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from bandforge import positivity
 from bandforge.factors import gen_factor
 from bandforge.normal_form import lcf, lcf_of_factors, lcf_to_word
 from bandforge.positivity import (
@@ -201,6 +202,17 @@ class TestNbReport:
                     continue
                 rep = nb_report(w)
                 assert rep.nb_exact == -form.inf - min(0, form.sup)
+
+    def test_three_strand_formula_mismatch_raises(self, monkeypatch):
+        real_reduce = positivity.reduce
+
+        def one_delta_too_many(form):
+            rw = real_reduce(form)
+            return ReducedWord(rw.n, rw.power - 1, rw.entries)
+
+        monkeypatch.setattr(positivity, "reduce", one_delta_too_many)
+        with pytest.raises(RuntimeError, match="3-braid formula"):
+            nb_report(parse_word("A(2,1)", 3))
 
     def test_strict_inequality_witness(self):
         # nb = 2 > |inf| = 1 for the two-negative-band word.

@@ -14,6 +14,7 @@ from bandforge.factors import delta_factor, enumerate_factors, identity_factor, 
 from bandforge.normal_form import left_weight_pair
 
 from conftest import b4
+from transfer_reference import right_set, starting_set
 
 # Pairs whose product becomes more left weighted, with the terminal
 # left-weighted pair ("e" right component omitted in the source notation).
@@ -79,13 +80,13 @@ class TestTranscribedRows:
     @pytest.mark.parametrize("row", INCREASABLE_ROWS, ids=lambda r: f"{r[0]}|{r[1]}")
     def test_increasable_row(self, row):
         a, b, wa, wb = (b4(name) for name in row)
-        assert a.right_set & b.starting_set, row
+        assert right_set(a) & starting_set(b), row
         assert left_weight_pair(a, b) == (wa, wb), row
 
     @pytest.mark.parametrize("row", NON_INCREASING_ROWS, ids=lambda r: f"{r[0]}|{r[1]}")
     def test_non_increasing_row(self, row):
         a, b = b4(row[0]), b4(row[1])
-        assert not a.right_set & b.starting_set, row
+        assert not right_set(a) & starting_set(b), row
         assert left_weight_pair(a, b) == (a, b)
 
 
@@ -96,7 +97,7 @@ class TestFullCoverage:
         checked = 0
         for a in enumerate_factors(4):
             for b in enumerate_factors(4):
-                increasable = bool(a.right_set & b.starting_set)
+                increasable = bool(right_set(a) & starting_set(b))
                 if a == d:
                     assert not increasable  # nothing extends delta
                 elif b == e:
