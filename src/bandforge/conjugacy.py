@@ -16,6 +16,14 @@ one element by conjugating with single canonical factors and keeping the
 results that stay in the set (the standard convexity fact; imported here
 without reproof).
 
+The closure conjugates in factor space, never through words.  For a
+factor f with complement(f) = f^-1 delta, f^-1 = delta^-1 tau^-1(complement(f)),
+and X delta^r = delta^r tau^r(X) gives
+
+    f^-1 W f = delta^(r-1) tau^(r-1)(complement(f)) A_1 ... A_k f,
+
+a factor sequence that one normalization pass puts back in canonical form.
+
 Conjugation convention: conjugate(w, v) = v^-1 w v.  Witness words compose
 left to right along the search path.
 """
@@ -26,8 +34,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .factors import enumerate_factors, factor_to_word, tau
-from .normal_form import LeftCanonicalForm, lcf, lcf_of_factors, lcf_to_word
+from .factors import complement, enumerate_factors, factor_to_word, tau
+from .normal_form import LeftCanonicalForm, lcf, lcf_of_factors
 from .words import BraidWord, writhe
 
 DEFAULT_SSS_BUDGET = 100_000
@@ -163,21 +171,25 @@ def sss_enumerate(
     n = data.representative.n
     target = (data.inf_conj, data.sup_conj)
     conjugators = [
-        (f, factor_to_word(f)) for f in enumerate_factors(n) if not f.is_identity
+        (f, complement(f), factor_to_word(f))
+        for f in enumerate_factors(n)
+        if not f.is_identity
     ]
     witnesses: dict[LeftCanonicalForm, BraidWord] = {data.representative: BraidWord(n)}
     queue = [data.representative]
     while queue:
         current = queue.pop()
-        base = lcf_to_word(current)
+        power = current.power - 1
         base_witness = witnesses[current]
-        for _, aw in conjugators:
-            candidate = lcf(base.conjugated_by(aw))
+        for f, f_complement, fw in conjugators:
+            candidate = lcf_of_factors(
+                n, power, (tau(f_complement, power),) + current.factors + (f,)
+            )
             if (candidate.power, candidate.sup) != target or candidate in witnesses:
                 continue
             if len(witnesses) >= limit:
                 raise BudgetExceededError(len(witnesses), limit)
-            witnesses[candidate] = base_witness * aw
+            witnesses[candidate] = base_witness * fw
             queue.append(candidate)
     data.sss = frozenset(witnesses)
     data.sss_witnesses = witnesses

@@ -59,6 +59,20 @@ class CanonicalFactor:
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # Hashed once: factors key every memo table, set and normal form.
+        object.__setattr__(self, "_hash", hash((self.n, self.blocks)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.blocks == other.blocks
+
     @property
     def word_length(self) -> int:
         """Length of any positive band word for this factor: n - #blocks."""

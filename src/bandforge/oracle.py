@@ -24,7 +24,7 @@ Everything is exponential; length bounds guard the entry points.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .words import BandLetter, BraidWord
@@ -73,10 +73,11 @@ def relation_neighbors(word: Word) -> Iterator[Word]:
             yield word[:p] + pair + word[p + 2 :]
 
 
-def rewrite_ball(word: Word, max_size: Optional[int] = None) -> frozenset[Word]:
-    """The closure of the word under single rewrites (equal-length, finite)."""
-    seen = {word}
+def _walk(word: Word, seen: set[Word], max_size: Optional[int] = None) -> Iterator[Word]:
+    """The members of the word's rewrite ball, breadth first, each added to seen when yielded."""
+    seen.add(word)
     frontier = [word]
+    yield word
     while frontier:
         nxt = []
         for w in frontier:
@@ -86,23 +87,62 @@ def rewrite_ball(word: Word, max_size: Optional[int] = None) -> frozenset[Word]:
                     nxt.append(nb)
                     if max_size is not None and len(seen) > max_size:
                         raise OracleBoundError(f"rewrite ball exceeded {max_size} words")
+                    yield nb
         frontier = nxt
-    return frozenset(seen)
 
 
-_KEY_CACHE: dict[tuple[int, Word], Word] = {}
+def rewrite_ball(word: Word, max_size: Optional[int] = None) -> frozenset[Word]:
+    """The closure of the word under single rewrites (equal-length, finite)."""
+    return frozenset(_walk(word, set(), max_size))
+
+
+class _Ball:
+    """A rewrite ball, walked breadth first only as far as the questions about it need.
+
+    Every member met so far maps to its ball in _BALLS, so a later question
+    about any of them resumes this walk instead of starting another.
+    """
+
+    def __init__(self, word: Word, n: int):
+        self.n = n
+        self.members: set[Word] = set()
+        self._walk = _walk(word, self.members)
+
+    def reaches(self, word: Optional[Word]) -> bool:
+        """Whether word is a member, walking on until it turns up or the ball is complete."""
+        if word in self.members:
+            return True
+        for member in self._walk:
+            _BALLS[(self.n, member)] = self
+            if member == word:
+                return True
+        return False
+
+    @cached_property
+    def label(self) -> Word:
+        """The least member; a canonical class label."""
+        self.reaches(None)
+        return min(self.members)
+
+
+_BALLS: dict[tuple[int, Word], _Ball] = {}
 
 
 def _ball_key(word: Word, n: int) -> Word:
     """Least member of the word's rewrite ball; a canonical class label."""
-    hit = _KEY_CACHE.get((n, word))
-    if hit is not None:
-        return hit
-    ball = rewrite_ball(word)
-    label = min(ball)
-    for member in ball:
-        _KEY_CACHE[(n, member)] = label
-    return label
+    return (_BALLS.get((n, word)) or _Ball(word, n)).label
+
+
+def _same_ball(a: Word, b: Word, n: int) -> bool:
+    """Whether a and b have the same rewrite ball.
+
+    Walks out from one word only until it meets the other; the answer is
+    False only once that walk has covered the whole ball.  A ball already
+    (partly) walked is reused.
+    """
+    if (n, a) not in _BALLS and (n, b) in _BALLS:
+        a, b = b, a
+    return (_BALLS.get((n, a)) or _Ball(a, n)).reaches(b)
 
 
 def _as_chords(w: BraidWord) -> Word:
@@ -122,7 +162,7 @@ def positive_equal(w1: BraidWord, w2: BraidWord, bound: int = DEFAULT_LENGTH_BOU
         raise OracleBoundError(f"length {len(a)} exceeds oracle bound {bound}")
     if a == b:
         return True
-    return _ball_key(a, w1.n) == _ball_key(b, w1.n)
+    return _same_ball(a, b, w1.n)
 
 
 def _delta_chords(n: int) -> Word:
@@ -184,7 +224,7 @@ def oracle_equal(w1: BraidWord, w2: BraidWord, bound: int = DEFAULT_LENGTH_BOUND
         return False
     if max(len(padded), len(p2)) > bound:
         raise OracleBoundError(f"padded length {len(padded)} exceeds oracle bound {bound}")
-    return padded == p2 or _ball_key(padded, n) == _ball_key(p2, n)
+    return padded == p2 or _same_ball(padded, p2, n)
 
 
 def element_key(w: BraidWord, bound: int = DEFAULT_LENGTH_BOUND) -> tuple[int, Word]:
@@ -235,6 +275,6 @@ def conjugate_ball_search(
 
 
 def clear_caches() -> None:
-    _KEY_CACHE.clear()
+    _BALLS.clear()
     delta_factorizations.cache_clear()
     _letter_delta_tail.cache_clear()

@@ -12,11 +12,13 @@ from bandforge.conjugacy import (
     sss_enumerate,
     sss_representative,
 )
-from bandforge.normal_form import lcf, lcf_to_word
+from bandforge.factors import complement, enumerate_factors, factor_to_word, tau
+from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_of_factors, lcf_to_word
 from bandforge.oracle import conjugate_ball_search
 from bandforge.words import BraidWord, parse_word, permutation, writhe
 
 from conftest import random_braid_word, w4
+from sss_reference import sss_enumerate_by_words
 
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
 KNOT_7_2_POSITIVE = "a1 a1 b2 b1 a3"
@@ -193,6 +195,49 @@ class TestSssEnumeration:
         data = sss_representative(w4(KNOT_7_2_WORD))
         with pytest.raises(BudgetExceededError):
             sss_enumerate(data)
+
+
+class TestFactorSpaceConjugation:
+    """f^-1 W f = delta^(r-1) tau^(r-1)(complement(f)) A_1 ... A_k f, as sss_enumerate uses it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_word_conjugation(self, n, rng):
+        bases = [()] + [
+            lcf(random_braid_word(n, rng.randint(1, 7), rng)).factors for _ in range(3)
+        ]
+        forms = [LeftCanonicalForm(n, r, fs) for fs in bases for r in (-2, -1, 0, 1, 3)]
+        assert any(f.is_identity for f in enumerate_factors(n))
+        assert any(f.is_delta for f in enumerate_factors(n))
+        for form in forms:
+            r, word = form.power, lcf_to_word(form)
+            for f in enumerate_factors(n):
+                by_factors = lcf_of_factors(
+                    n, r - 1, (tau(complement(f), r - 1),) + form.factors + (f,)
+                )
+                assert by_factors == lcf(word.conjugated_by(factor_to_word(f)))
+
+
+class TestSssAgainstWordClosure:
+    """The factor-space closure against the word-based one it replaced."""
+
+    @staticmethod
+    def assert_same_closure(w):
+        data = sss_representative(w)
+        expected, witnesses = sss_enumerate_by_words(sss_representative(w))
+        assert sss_enumerate(data) == expected
+        assert list(data.sss_witnesses) == list(witnesses)
+        assert [v.render() for v in data.sss_witnesses.values()] == [
+            v.render() for v in witnesses.values()
+        ]
+
+    @pytest.mark.parametrize("n, samples, max_len", [(3, 12, 8), (4, 12, 8), (5, 4, 6)])
+    def test_seeded_words(self, n, samples, max_len, rng):
+        for _ in range(samples):
+            self.assert_same_closure(random_braid_word(n, rng.randint(0, max_len), rng, neg=0.4))
+
+    @pytest.mark.parametrize("text", [KNOT_7_2_WORD, KNOT_7_2_POSITIVE, TWO_BAND_WORD])
+    def test_worked_examples(self, text):
+        self.assert_same_closure(w4(text))
 
 
 class TestAreConjugate:

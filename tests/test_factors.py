@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from bandforge.factors import (
+    CanonicalFactor,
     all_chords,
     catalan,
     complement,
@@ -22,6 +23,7 @@ from bandforge.factors import (
     tau,
     DiskLayout,
 )
+from bandforge.normal_form import lcf
 from bandforge.oracle import positive_equal
 from bandforge.words import delta_word, parse_word
 
@@ -113,6 +115,36 @@ class TestConstruction:
     def test_degenerate_n1(self):
         f = identity_factor(1)
         assert f == delta_factor(1) and f.is_identity and not f.is_delta
+
+
+class TestHashEquality:
+    ALL = [f for n in range(1, 6) for f in enumerate_factors(n)]
+
+    def test_hash_is_the_field_hash(self):
+        for f in self.ALL:
+            assert hash(f) == hash((f.n, f.blocks))
+
+    def test_equality(self):
+        for f, g in itertools.product(self.ALL, repeat=2):
+            assert (f == g) is (f is g)
+            assert (f != g) is (f is not g)
+
+    def test_uninterned_copy_equal(self):
+        for f in self.ALL:
+            copy = CanonicalFactor(f.n, f.blocks)
+            assert copy is not f and copy == f and hash(copy) == hash(f)
+
+    def test_foreign_type_not_implemented(self):
+        for f in self.ALL:
+            assert f.__eq__("x") is NotImplemented
+            assert f.__eq__((f.n, f.blocks)) is NotImplemented
+            assert f != "x"
+
+    def test_normal_form_hash_unchanged(self):
+        for n in range(2, 6):
+            for text in ("", "a(2,1)", "A(2,1) d^2 a(2,1) a(2,1)"):
+                form = lcf(parse_word(text, n))
+                assert hash(form) == hash((form.n, form.power, form.factors))
 
 
 class TestFactorWord:

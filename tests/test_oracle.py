@@ -12,7 +12,7 @@ from bandforge.oracle import (
     positive_equal,
     rewrite_ball,
 )
-from bandforge.words import BraidWord, delta_word, parse_word
+from bandforge.words import BandLetter, BraidWord, delta_word, parse_word
 
 from conftest import random_braid_word, w4
 
@@ -86,6 +86,30 @@ class TestPositiveEqual:
     def test_rejects_negative_letters(self):
         with pytest.raises(ValueError):
             positive_equal(w4("A1"), w4("A1"))
+
+    def test_early_stop_agrees_with_whole_ball(self, rng):
+        # positive_equal stops walking once it meets the other word and
+        # answers from cached labels when it can; the verdict must be ball
+        # membership with the cache cold, holding either ball, or both.
+        from bandforge.oracle import _ball_key, clear_caches, relation_neighbors
+
+        for _ in range(40):
+            u = random_braid_word(4, rng.randint(2, 6), rng)
+            v_chords = tuple(l.chord for l in u.letters)
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(1, 4)):
+                    v_chords = rng.choice(list(relation_neighbors(v_chords)) or [v_chords])
+            else:
+                v_chords = tuple(rng.sample(v_chords, len(v_chords)))
+            v = BraidWord(4, tuple(BandLetter(t, s, 1) for t, s in v_chords))
+            expected = v_chords in rewrite_ball(tuple(l.chord for l in u.letters))
+            for warm in ((), (u,), (v,), (u, v)):
+                clear_caches()
+                for word in warm:
+                    _ball_key(tuple(l.chord for l in word.letters), 4)
+                assert positive_equal(u, v) == expected
+                assert positive_equal(v, u) == expected
+        clear_caches()
 
 
 class TestNormalizeViaDelta:
