@@ -8,23 +8,31 @@ the punctured-disk diagram and contributing a positive word of length k-1.
 The identity e is the all-singletons partition, the fundamental element
 delta the one-block partition.
 
-The prefix order is refinement, so the greatest common prefix A ^ B (meet)
-is the common refinement.  As a permutation a factor sends each k to the
-previous element of its block, cyclically; products and left quotients of
-factors, when they are factors again, are products of these permutations,
-their cycles being the blocks.
+Besides its sorted blocks, every factor carries two arrays of length n + 1
+(entry 0 unused), built once at construction:
 
-Everything here is a pure function of immutable values.  Factors are
-interned per (n, blocks); complements and rotations are cached in
-module-level memo tables.
+- the labels: label[k] is the least element of k's block;
+- the permutation: k -> the previous element of k's block, cyclically.
+
+The prefix order is refinement, so the greatest common prefix A ^ B (meet)
+is the common refinement: k is labelled by the first index with the same
+pair of labels.  Products and left quotients of factors, when they are
+factors again, are products of the permutations, their cycles being the
+blocks; the complement A^-1 * delta is k -> pa^-1[k - 1], cyclically.  Each
+of these is one O(n) pass over the arrays.
+
+Factors are interned by their label array.  A result is looked up first;
+only a new one has its blocks built (grouped by label, so already sorted)
+and is checked to be non-crossing, by one stack scan over 1..n.  Everything
+here is a pure function of immutable values; complements and rotations are
+also cached in module-level memo tables.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, cos, pi, sin
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -41,11 +49,26 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _blocks_cross(x: Sequence[int], y: Sequence[int]) -> bool:
-    """Whether sorted disjoint blocks x, y interleave (a<b<c<d alternating)."""
-    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y])
-    switches = sum(1 for a, b in zip(merged, merged[1:]) if a[1] != b[1])
-    return switches >= 3
+def _crossing(label: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The labels of two interleaving blocks, or None when the partition is non-crossing.
+
+    label[k] is the least element of k's block (entry 0 unused).  One scan
+    over 1..n keeps a stack of the blocks opened so far; meeting an element
+    of block l closes every block opened after l, since a later element of
+    one of those would interleave with l (a<b<c<d alternating).
+    """
+    stack = [0]
+    for k in range(1, len(label)):
+        l = label[k]
+        if l == k:
+            stack.append(k)
+            continue
+        while stack[-1] > l:
+            stack.pop()
+        if stack[-1] != l:
+            # l was closed by an element between l and k of an earlier block.
+            return next(label[e] for e in range(l + 1, k) if label[e] < l), l
+    return None
 
 
 @dataclass(frozen=True)
@@ -60,8 +83,19 @@ class CanonicalFactor:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        # Hashed once: factors key every memo table, set and normal form.
+        # Built once: factors key every memo table, set and normal form, and
+        # the kernel operations read the two arrays.
+        label = [0] * (self.n + 1)
+        perm = [0] * (self.n + 1)
+        for block in self.blocks:
+            prev = block[-1]
+            for x in block:
+                label[x] = block[0]
+                perm[x] = prev
+                prev = x
         object.__setattr__(self, "_hash", hash((self.n, self.blocks)))
+        object.__setattr__(self, "_label", tuple(label))
+        object.__setattr__(self, "_perm", tuple(perm))
 
     def __hash__(self) -> int:
         return self._hash
@@ -86,10 +120,6 @@ class CanonicalFactor:
     def is_delta(self) -> bool:
         return len(self.blocks) == 1 and self.n >= 2
 
-    @cached_property
-    def block_of(self) -> dict[int, tuple[int, ...]]:
-        return {x: b for b in self.blocks for x in b}
-
     def non_singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) > 1)
 
@@ -107,7 +137,28 @@ class CanonicalFactor:
         return self.text()
 
 
-_INTERN: dict[tuple[int, tuple[tuple[int, ...], ...]], CanonicalFactor] = {}
+#: Every factor built so far, keyed by its own label array.
+_INTERN: dict[tuple[int, ...], CanonicalFactor] = {}
+
+
+def _from_labels(label: tuple[int, ...]) -> CanonicalFactor:
+    """The factor with these labels: label[k] is the least element of k's block.
+
+    Entry 0 is unused (0).  A factor not yet interned is built with its blocks
+    in order of least element, and rejected if two of them cross.
+    """
+    f = _INTERN.get(label)
+    if f is None:
+        n = len(label) - 1
+        groups: dict[int, list[int]] = {}
+        for k in range(1, n + 1):
+            groups.setdefault(label[k], []).append(k)
+        if crossed := _crossing(label):
+            x, y = (tuple(groups[l]) for l in crossed)
+            raise ValueError(f"blocks {x} and {y} cross")
+        f = CanonicalFactor(n, tuple(map(tuple, groups.values())))
+        f = _INTERN.setdefault(f._label, f)
+    return f
 
 
 def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
@@ -119,7 +170,7 @@ def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
     if n < 1:
         raise ValueError(f"strand count must be >= 1, got {n}")
     seen: set[int] = set()
-    norm: list[tuple[int, ...]] = []
+    label = list(range(n + 1))
     for raw in blocks:
         block = tuple(sorted(set(raw)))
         if not block:
@@ -129,18 +180,9 @@ def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
         if seen & set(block):
             raise ValueError(f"blocks are not disjoint at {sorted(seen & set(block))}")
         seen |= set(block)
-        norm.append(block)
-    norm += [(x,) for x in range(1, n + 1) if x not in seen]
-    norm.sort(key=lambda b: b[0])
-    key = (n, tuple(norm))
-    if key in _INTERN:
-        return _INTERN[key]
-    big = [b for b in norm if len(b) > 1]
-    for i, x in enumerate(big):
-        for y in big[i + 1 :]:
-            if _blocks_cross(x, y):
-                raise ValueError(f"blocks {x} and {y} cross")
-    return _INTERN.setdefault(key, CanonicalFactor(*key))
+        for x in block:
+            label[x] = block[0]
+    return _from_labels(tuple(label))
 
 
 def identity_factor(n: int) -> CanonicalFactor:
@@ -155,7 +197,9 @@ def gen_factor(n: int, t: int, s: int) -> CanonicalFactor:
     """The 2-gon of the band generator a_{t,s}."""
     if not 1 <= min(s, t) < max(s, t) <= n:
         raise ValueError(f"generator ({t},{s}) out of range for n={n}")
-    return factor(n, ((t, s),))
+    label = list(range(n + 1))
+    label[max(s, t)] = min(s, t)
+    return _from_labels(tuple(label))
 
 
 def all_chords(n: int) -> tuple[Chord, ...]:
@@ -215,48 +259,44 @@ def factor_to_word(a: CanonicalFactor) -> BraidWord:
 def complement(a: CanonicalFactor) -> CanonicalFactor:
     """The unique factor B with A*B = delta (a Kreweras-type complement).
 
-    Construction: interleave a ghost point k-hat immediately clockwise before
-    each puncture k; the complement blocks are the maximal ghost groups not
-    separated by any block of A.  Ghosts at circular position 2(k-1), plain
-    points at 2k-1, counterclockwise.
+    B = A^-1 * delta; delta's permutation is k -> k - 1 (1 -> n), so B's is
+    k -> pa^-1[k - 1].
     """
     n = a.n
-    big = [tuple(2 * x - 1 for x in b) for b in a.blocks if len(b) > 1]
-
-    def signature(k: int) -> tuple[int, ...]:
-        q = 2 * (k - 1)
-        # Gap 0 (before the block's span) and the gap after it are the same
-        # circular region, hence the modulus.
-        return tuple(bisect_left(p, q) % len(p) for p in big)
-
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k in range(1, n + 1):
-        groups.setdefault(signature(k), []).append(k)
-    return factor(n, tuple(tuple(g) for g in groups.values()))
+    inv = [0] * (n + 1)
+    for k, x in enumerate(a._perm):
+        inv[x] = k
+    return _from_perm(n, (0, inv[n], *inv[1:n]))
 
 
 def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     """The prefix order A < B: every block of A lies inside a block of B."""
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    lookup = b.block_of
-    return all(all(lookup[x] is lookup[block[0]] for x in block) for block in a.blocks)
+    lb = b._label
+    return all(lb[k] == lb[x] for k, x in enumerate(a._label))
 
 
 def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
     """The greatest common prefix A ^ B: blocks are the non-empty intersections of blocks."""
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    la, lb = a.block_of, b.block_of
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k in range(1, a.n + 1):
-        groups.setdefault((la[k][0], lb[k][0]), []).append(k)
-    return factor(a.n, groups.values())
+    # k's block is labelled by the first index with k's pair of labels.
+    first: dict[tuple[int, int], int] = {}
+    pairs = enumerate(zip(a._label, b._label))
+    return _from_labels(tuple([first.setdefault(p, k) for k, p in pairs]))
 
 
 @lru_cache(maxsize=None)
 def _tau_shift(a: CanonicalFactor, shift: int) -> CanonicalFactor:
-    return factor(a.n, tuple(tuple((x + shift - 1) % a.n + 1 for x in b) for b in a.blocks))
+    n = a.n
+    label = list(range(n + 1))
+    for block in a.non_singleton_blocks():
+        rotated = [(x + shift - 1) % n + 1 for x in block]
+        least = min(rotated)
+        for x in rotated:
+            label[x] = least
+    return _from_labels(tuple(label))
 
 
 def tau(a: CanonicalFactor, k: int = 1) -> CanonicalFactor:
@@ -280,30 +320,15 @@ def tau_word(w: BraidWord, k: int = 1) -> BraidWord:
     )
 
 
-def _perm(a: CanonicalFactor) -> list[int]:
-    """The factor's permutation: k -> the previous element of k's block, cyclically.
-
-    Entry k is the image of k; entry 0 is unused (and fixed).
-    """
-    p = list(range(a.n + 1))
-    for block in a.blocks:
-        for i, x in enumerate(block):
-            p[x] = block[i - 1]
-    return p
-
-
 def _from_perm(n: int, p: Sequence[int]) -> CanonicalFactor:
     """The factor whose blocks are the cycles of the permutation p (entry 0 unused)."""
-    seen = [False] * (n + 1)
-    blocks = []
+    label = [0] * (n + 1)
     for start in range(1, n + 1):
-        block, k = [], start
-        while not seen[k]:
-            seen[k] = True
-            block.append(k)
+        k = start
+        while not label[k]:
+            label[k] = start
             k = p[k]
-        blocks.append(block)
-    return factor(n, blocks)
+    return _from_labels(tuple(label))
 
 
 def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
@@ -314,16 +339,16 @@ def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]
     """
     if not precedes(b, complement(a)):
         return None
-    pa = _perm(a)
-    return _from_perm(a.n, [pa[x] for x in _perm(b)])
+    pa = a._perm
+    return _from_perm(a.n, [pa[x] for x in b._perm])
 
 
 def _left_quotient(c: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
     """The factor C^-1 * B for a prefix C of B: k -> pc^-1[pb[k]]."""
     pc_inv = [0] * (c.n + 1)
-    for k, x in enumerate(_perm(c)):
+    for k, x in enumerate(c._perm):
         pc_inv[x] = k
-    return _from_perm(c.n, [pc_inv[x] for x in _perm(b)])
+    return _from_perm(c.n, [pc_inv[x] for x in b._perm])
 
 
 def star(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
@@ -342,7 +367,9 @@ def star(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
     x, y = xs[0], ys[0]
     if set(x) & set(y):
         raise ValueError(f"polygon vertex sets overlap at {sorted(set(x) & set(y))}")
-    if _blocks_cross(x, y):
+    # a labels x by its least element and every other k by k, b likewise y,
+    # so the elementwise minimum labels the partition {x, y, singletons}.
+    if _crossing(tuple(map(min, a._label, b._label))):
         return None
     return factor(a.n, (x + y,))
 

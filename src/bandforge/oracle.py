@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-from .words import BandLetter, BraidWord
+from .words import BandLetter, BraidWord, permutation
 
 Chord = tuple[int, int]
 Word = tuple[Chord, ...]
@@ -162,6 +162,10 @@ def positive_equal(w1: BraidWord, w2: BraidWord, bound: int = DEFAULT_LENGTH_BOU
         raise OracleBoundError(f"length {len(a)} exceeds oracle bound {bound}")
     if a == b:
         return True
+    # Each letter maps to a transposition and every relation holds in S_n,
+    # so words with different permutations cannot share a rewrite ball.
+    if permutation(w1) != permutation(w2):
+        return False
     return _same_ball(a, b, w1.n)
 
 

@@ -130,10 +130,9 @@ _B4_ALIASES = {
 }
 
 
-def _expand(t: int, s: int, sign: int, power: int) -> list[BandLetter]:
-    if power < 0:
-        sign, power = -sign, -power
-    return [BandLetter(t, s, sign)] * power
+#: Most letters a parsed word may expand to; powers are counted before they
+#: are expanded, so an oversized word fails at once instead of filling memory.
+MAX_WORD_LETTERS = 100_000
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -141,7 +140,8 @@ def parse_word(text: str, n: int) -> BraidWord:
 
     Grammar (whitespace separated): a(i,j) band letters, s<i> Artin letters,
     d for delta, each with an optional ^k power; uppercase means inverse.
-    The B_4 aliases a1..a4, b1, b2 are accepted when n == 4.
+    The B_4 aliases a1..a4, b1, b2 are accepted when n == 4.  A word that
+    expands to more than MAX_WORD_LETTERS letters is rejected.
     """
     letters: list[BandLetter] = []
     for pos, token in enumerate(text.split(), start=1):
@@ -153,18 +153,18 @@ def parse_word(text: str, n: int) -> BraidWord:
                 )
             sign = 1 if kind.islower() else -1
             power = 1 if m.group(4) is None else int(m.group(4))
-            letters += _expand(max(i, j), min(i, j), sign, power)
+            unit = (BandLetter(max(i, j), min(i, j), sign),)
         elif m := _ARTIN_RE.match(token):
             kind, i = m.group(1), int(m.group(2))
             if not 1 <= i <= n - 1:
                 raise ParseError(f"token {pos} {token!r}: Artin index must be in 1..{n - 1}")
             sign = 1 if kind.islower() else -1
             power = 1 if m.group(3) is None else int(m.group(3))
-            letters += _expand(i + 1, i, sign, power)
+            unit = (BandLetter(i + 1, i, sign),)
         elif m := _DELTA_RE.match(token):
             sign = 1 if m.group(1).islower() else -1
             power = sign * (1 if m.group(2) is None else int(m.group(2)))
-            letters += (delta_word(n) ** power).letters
+            unit = delta_word(n).letters
         elif (m := _ALIAS_RE.match(token)) and n == 4:
             kind, idx = m.group(1), int(m.group(2))
             key = (kind.lower(), idx)
@@ -173,9 +173,17 @@ def parse_word(text: str, n: int) -> BraidWord:
             t, s = _B4_ALIASES[key]
             sign = 1 if kind.islower() else -1
             power = 1 if m.group(3) is None else int(m.group(3))
-            letters += _expand(t, s, sign, power)
+            unit = (BandLetter(t, s, sign),)
         else:
             raise ParseError(f"token {pos} {token!r}: not a valid word token")
+        if len(letters) + len(unit) * abs(power) > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"token {pos} {token!r}: the word would have more than "
+                f"{MAX_WORD_LETTERS} letters"
+            )
+        if power < 0:
+            unit = tuple(l.inverse() for l in reversed(unit))
+        letters += unit * abs(power)
     return BraidWord(n, tuple(letters))
 
 

@@ -1,0 +1,90 @@
+"""The label/permutation array kernel against the block-based reference kernel.
+
+complement, meet, precedes and tau read each factor's label and permutation
+arrays; transfer_reference keeps the block-based versions they replaced.
+Every result must be the very same interned object, and every factor's
+arrays must agree with its blocks.  The cached operations are called through
+__wrapped__ so that their memo tables cannot answer in their place.
+"""
+
+import random
+
+import pytest
+
+from bandforge.factors import (
+    _INTERN,
+    _tau_shift,
+    complement,
+    enumerate_factors,
+    meet,
+    precedes,
+)
+from bandforge.normal_form import lcf
+
+from conftest import random_braid_word
+from transfer_reference import (
+    reference_complement,
+    reference_meet,
+    reference_precedes,
+    reference_tau,
+)
+
+fresh_complement = complement.__wrapped__
+fresh_tau = _tau_shift.__wrapped__
+
+
+def _assert_arrays(f):
+    """label[k] = least element of k's block; perm[k] = its predecessor, cyclically."""
+    label, perm = [0] * (f.n + 1), [0] * (f.n + 1)
+    for block in f.blocks:
+        for i, x in enumerate(block):
+            label[x] = min(block)
+            perm[x] = block[i - 1]
+    assert f._label == tuple(label) and f._perm == tuple(perm), f.text()
+    assert _INTERN[f._label] is f, f.text()
+
+
+def _assert_single(a):
+    _assert_arrays(a)
+    c = fresh_complement(a)
+    assert c is reference_complement(a), a.text()
+    _assert_arrays(c)
+    for shift in range(1, a.n):
+        t = fresh_tau(a, shift)
+        assert t is reference_tau(a, shift), (a.text(), shift)
+        _assert_arrays(t)
+
+
+def _assert_pair(a, b):
+    m = meet(a, b)
+    assert m is reference_meet(a, b), (a.text(), b.text())
+    _assert_arrays(m)
+    assert precedes(a, b) == reference_precedes(a, b), (a.text(), b.text())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_all_factors_and_pairs(n):
+    factors = enumerate_factors(n)
+    for a in factors:
+        _assert_single(a)
+        for b in factors:
+            _assert_pair(a, b)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_sampled_lcf_factors(n):
+    rng = random.Random(6151 * n)
+    pool = sorted(
+        {f for _ in range(8) for f in lcf(random_braid_word(n, 30, rng, neg=0.3)).factors},
+        key=lambda f: f.blocks,
+    )
+    for a in pool:
+        _assert_single(a)
+    related = 0
+    for _ in range(400):
+        a, b = rng.choice(pool), rng.choice(pool)
+        _assert_pair(a, b)
+        _assert_pair(a, fresh_complement(b))
+        related += not meet(a, b).is_identity
+    # The sample must hold pairs with a nontrivial meet, not only e.
+    assert related >= 40

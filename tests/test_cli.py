@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import time
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ import bandforge.cli
 import bandforge.conjugacy
 import bandforge.positivity
 from bandforge.cli import run
+from bandforge.words import MAX_WORD_LETTERS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -180,6 +182,13 @@ class TestRender:
 class TestExitCodes:
     def test_parse_error(self):
         capture(["lcf", "-n", "4", "a(9,1)"], expect_code=1)
+
+    @pytest.mark.parametrize("word", ["a1^100000000", "d^100000000", "A(3,1)^-100000000"])
+    def test_huge_power_fails_fast(self, word, capsys):
+        start = time.perf_counter()
+        capture(["lcf", "-n", "4", word], expect_code=1)
+        assert time.perf_counter() - start < 1.0
+        assert f"more than {MAX_WORD_LETTERS} letters" in capsys.readouterr().err
 
     def test_budget_exceeded(self):
         capture(["sss", "-n", "4", "a1", "--enumerate", "--budget", "2"], expect_code=2)

@@ -1,6 +1,8 @@
 """Canonical factors: enumeration, words, sets, complement, order, meet, diamond, star."""
 
+import ast
 import itertools
+import re
 
 import pytest
 
@@ -28,7 +30,7 @@ from bandforge.oracle import positive_equal
 from bandforge.words import delta_word, parse_word
 
 from conftest import assert_same_braid, b4
-from transfer_reference import merge, right_set, split_left, starting_set
+from transfer_reference import block_of, merge, right_set, split_left, starting_set
 
 
 # Independent oracles --------------------------------------------------------
@@ -115,6 +117,24 @@ class TestConstruction:
     def test_degenerate_n1(self):
         f = identity_factor(1)
         assert f == delta_factor(1) and f.is_identity and not f.is_delta
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_crossing_check_matches_brute_force(self, n):
+        # Every set partition of {1..n} (877 at n = 7), blocks given in
+        # reverse order with reversed elements.
+        for partition in all_set_partitions(range(1, n + 1)):
+            given = [block[::-1] for block in partition[::-1]]
+            if is_noncrossing(partition):
+                f = factor(n, given)
+                assert sorted(f.blocks) == sorted(tuple(sorted(b)) for b in partition)
+                continue
+            with pytest.raises(ValueError, match="cross") as info:
+                factor(n, given)
+            m = re.fullmatch(r"blocks (\(.*?\)) and (\(.*?\)) cross", str(info.value))
+            assert m, str(info.value)
+            x, y = ast.literal_eval(m.group(1)), ast.literal_eval(m.group(2))
+            blocks = {tuple(sorted(b)) for b in partition}
+            assert x in blocks and y in blocks and not is_noncrossing([x, y]), str(info.value)
 
 
 class TestHashEquality:
@@ -392,9 +412,10 @@ class TestDiamond:
                 d = diamond(a, b)
                 if d is None:
                     continue
+                blocks = block_of(d)
                 for block in a.blocks + b.blocks:
-                    target = d.block_of[block[0]]
-                    assert all(d.block_of[x] is target for x in block)
+                    target = blocks[block[0]]
+                    assert all(blocks[x] is target for x in block)
 
     def test_five_strand_consistency(self):
         factors = enumerate_factors(5)

@@ -111,6 +111,36 @@ class TestPositiveEqual:
                 assert positive_equal(v, u) == expected
         clear_caches()
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_permutation_precheck_is_sound(self, n):
+        # positive_equal answers False without a walk when the permutations
+        # differ; no pair that shares a rewrite ball may be cut off that way.
+        import random
+
+        from bandforge.oracle import _same_ball, relation_neighbors
+        from bandforge.words import permutation
+
+        rng = random.Random(4099 * n)
+        cut = equal = 0
+        for _ in range(2000):
+            u = random_braid_word(n, rng.randint(1, 6), rng)
+            a = tuple(l.chord for l in u.letters)
+            if rng.random() < 0.5:
+                b = a
+                for _ in range(rng.randint(1, 4)):
+                    b = rng.choice(list(relation_neighbors(b)) or [b])
+            else:
+                b = tuple(l.chord for l in random_braid_word(n, len(a), rng).letters)
+            v = BraidWord(n, tuple(BandLetter(t, s, 1) for t, s in b))
+            same = _same_ball(a, b, n)
+            assert positive_equal(u, v) == same, (a, b)
+            if permutation(u) != permutation(v):
+                cut += 1
+                assert not same, (a, b)
+            equal += same
+        # Both outcomes must be exercised.
+        assert cut >= 600 and equal >= 600
+
 
 class TestNormalizeViaDelta:
     def test_single_negative(self):

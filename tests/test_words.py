@@ -4,6 +4,7 @@ import pytest
 
 from bandforge.oracle import relation_neighbors
 from bandforge.words import (
+    MAX_WORD_LETTERS,
     BandLetter,
     BraidWord,
     ParseError,
@@ -64,6 +65,15 @@ class TestParse:
             parse_word("a(2,2)", 4)
         with pytest.raises(ParseError):
             parse_word("s4", 4)
+
+    def test_letter_limit(self):
+        # Powers are counted before they are expanded; the limit itself parses.
+        assert len(parse_word(f"a1^{MAX_WORD_LETTERS}", 4)) == MAX_WORD_LETTERS
+        assert len(parse_word(f"D^{(MAX_WORD_LETTERS - 1) // 3} A2", 4)) == MAX_WORD_LETTERS
+        over = (f"a1^{MAX_WORD_LETTERS} a2", f"d^{MAX_WORD_LETTERS // 3 + 1}", "S1^-100000000")
+        for text in over:
+            with pytest.raises(ParseError, match=f"more than {MAX_WORD_LETTERS} letters"):
+                parse_word(text, 4)
 
     def test_round_trip_random(self, rng):
         for _ in range(300):

@@ -7,10 +7,16 @@ A*c still a factor), and a loop that moves one generator of R(A) & S(B) at
 a time from B into A.  It also keeps diamond as "normalize the product and
 look at its shape", and a normal-form pass that processes pairs in random
 order.  The differential tests compare the library against these.
+
+It also keeps the block-based kernel that the label/permutation arrays
+replaced: complement from ghost-point signatures, meet and precedes through
+an element -> block map, and tau by rebuilding the rotated blocks through
+factor().
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -25,6 +31,54 @@ from bandforge.factors import (
     tau,
 )
 from bandforge.normal_form import LeftCanonicalForm, lcf
+
+
+def block_of(a: CanonicalFactor) -> dict[int, tuple[int, ...]]:
+    """Each element's block."""
+    return {x: b for b in a.blocks for x in b}
+
+
+def reference_complement(a: CanonicalFactor) -> CanonicalFactor:
+    """The unique factor B with A*B = delta (a Kreweras-type complement).
+
+    Construction: interleave a ghost point k-hat immediately clockwise before
+    each puncture k; the complement blocks are the maximal ghost groups not
+    separated by any block of A.  Ghosts at circular position 2(k-1), plain
+    points at 2k-1, counterclockwise.
+    """
+    n = a.n
+    big = [tuple(2 * x - 1 for x in b) for b in a.blocks if len(b) > 1]
+
+    def signature(k: int) -> tuple[int, ...]:
+        q = 2 * (k - 1)
+        # Gap 0 (before the block's span) and the gap after it are the same
+        # circular region, hence the modulus.
+        return tuple(bisect_left(p, q) % len(p) for p in big)
+
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k in range(1, n + 1):
+        groups.setdefault(signature(k), []).append(k)
+    return factor(n, tuple(tuple(g) for g in groups.values()))
+
+
+def reference_precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
+    """The prefix order A < B: every block of A lies inside a block of B."""
+    lookup = block_of(b)
+    return all(all(lookup[x] is lookup[block[0]] for x in block) for block in a.blocks)
+
+
+def reference_meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
+    """The greatest common prefix A ^ B: blocks are the non-empty intersections of blocks."""
+    la, lb = block_of(a), block_of(b)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k in range(1, a.n + 1):
+        groups.setdefault((la[k][0], lb[k][0]), []).append(k)
+    return factor(a.n, groups.values())
+
+
+def reference_tau(a: CanonicalFactor, shift: int) -> CanonicalFactor:
+    """Every label rotated by +shift (mod n, into 1..n)."""
+    return factor(a.n, tuple(tuple((x + shift - 1) % a.n + 1 for x in b) for b in a.blocks))
 
 
 @lru_cache(maxsize=None)
@@ -47,7 +101,8 @@ def merge(a: CanonicalFactor, c: Chord) -> CanonicalFactor:
     if c not in right_set(a):
         raise ValueError(f"generator {c} is not in the right set of {a.text()}")
     t, s = c
-    bs, bt = a.block_of[s], a.block_of[t]
+    blocks = block_of(a)
+    bs, bt = blocks[s], blocks[t]
     rest = [b for b in a.blocks if b is not bs and b is not bt]
     return factor(a.n, rest + [bs + bt])
 
@@ -62,7 +117,7 @@ def split_left(b: CanonicalFactor, c: Chord) -> CanonicalFactor:
     if c not in starting_set(b):
         raise ValueError(f"generator {c} is not in the starting set of {b.text()}")
     t, s = c
-    v = b.block_of[s]
+    v = block_of(b)[s]
     v1 = tuple(x for x in v if s < x <= t)
     v2 = tuple(x for x in v if not s < x <= t)
     rest = [blk for blk in b.blocks if blk is not v]
