@@ -18,11 +18,13 @@ without reproof).
 
 The closure conjugates in factor space, never through words.  For a
 factor f with complement(f) = f^-1 delta, f^-1 = delta^-1 tau^-1(complement(f)),
-and X delta^r = delta^r tau^r(X) gives
+so f^-1 W f is two multiplications of a normal form by one factor each:
 
-    f^-1 W f = delta^(r-1) tau^(r-1)(complement(f)) A_1 ... A_k f,
+    f^-1 W f = delta^-1 * left_multiply(tau^-1(complement(f)), right_multiply(W, f)).
 
-a factor sequence that one normalization pass puts back in canonical form.
+Cycling and decycling are one multiplication each, of the normal form
+delta^r A_2 ... A_k by tau^-r(A_1) on the right, and of delta^r A_1 ... A_{k-1}
+by A_k on the left.
 
 Conjugation convention: conjugate(w, v) = v^-1 w v.  Witness words compose
 left to right along the search path.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .factors import complement, enumerate_factors, factor_to_word, tau
-from .normal_form import LeftCanonicalForm, lcf, lcf_of_factors
+from .normal_form import LeftCanonicalForm, lcf, left_multiply, right_multiply
 from .words import BraidWord, writhe
 
 DEFAULT_SSS_BUDGET = 100_000
@@ -66,16 +68,16 @@ def cycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
     """Move the first factor to the back (rotated past delta^r); identity if k=0."""
     if not form.factors:
         return form
-    head, rest = form.factors[0], form.factors[1:]
-    return lcf_of_factors(form.n, form.power, rest + (tau(head, -form.power),))
+    rest = LeftCanonicalForm(form.n, form.power, form.factors[1:])
+    return right_multiply(rest, tau(form.factors[0], -form.power))
 
 
 def decycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
     """Move the last factor to the front (rotated past delta^r); identity if k=0."""
     if not form.factors:
         return form
-    last, rest = form.factors[-1], form.factors[:-1]
-    return lcf_of_factors(form.n, form.power, (tau(last, form.power),) + rest)
+    rest = LeftCanonicalForm(form.n, form.power, form.factors[:-1])
+    return left_multiply(form.factors[-1], rest)
 
 
 def cycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
@@ -179,11 +181,12 @@ def sss_enumerate(
     queue = [data.representative]
     while queue:
         current = queue.pop()
-        power = current.power - 1
         base_witness = witnesses[current]
         for f, f_complement, fw in conjugators:
-            candidate = lcf_of_factors(
-                n, power, (tau(f_complement, power),) + current.factors + (f,)
+            # delta^-1 tau^-1(complement(f)) delta^p X = delta^(p-1) tau^(p-1)(complement(f)) X
+            right = right_multiply(current, f)
+            candidate = left_multiply(
+                f_complement, LeftCanonicalForm(n, right.power - 1, right.factors)
             )
             if (candidate.power, candidate.sup) != target or candidate in witnesses:
                 continue

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, cos, pi, sin
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .words import BandLetter, BraidWord
@@ -305,21 +305,6 @@ def tau(a: CanonicalFactor, k: int = 1) -> CanonicalFactor:
     return a if shift == 0 else _tau_shift(a, shift)
 
 
-def tau_word(w: BraidWord, k: int = 1) -> BraidWord:
-    """The same rotation applied letterwise to a word."""
-    n = w.n
-    shift = k % n
-    if shift == 0:
-        return w
-    return BraidWord(
-        n,
-        tuple(
-            BandLetter.make((l.t + shift - 1) % n + 1, (l.s + shift - 1) % n + 1, l.sign)
-            for l in w.letters
-        ),
-    )
-
-
 def _from_perm(n: int, p: Sequence[int]) -> CanonicalFactor:
     """The factor whose blocks are the cycles of the permutation p (entry 0 unused)."""
     label = [0] * (n + 1)
@@ -388,20 +373,3 @@ def parse_partition_text(text: str, n: int) -> CanonicalFactor:
         [int(v) for v in body.split(",")] for body in re.findall(r"\{([\d,]+)\}", stripped)
     ]
     return factor(n, blocks)
-
-
-@dataclass(frozen=True)
-class DiskLayout:
-    """Puncture placement for diagrams: point k at radius 1/2, angle theta_k.
-
-    theta_k = (2k - 1 - n) * pi / n puts the punctures counterclockwise with
-    P_1 and P_n separated by the half-line at angle pi.
-    """
-
-    n: int
-
-    def angle(self, k: int) -> float:
-        return (2 * k - 1 - self.n) * pi / self.n
-
-    def position(self, k: int) -> tuple[float, float]:
-        return 0.5 * cos(self.angle(k)), 0.5 * sin(self.angle(k))

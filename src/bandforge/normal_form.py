@@ -7,25 +7,26 @@ left weighted (no nontrivial prefix of A_{i+1} can move into A_i, i.e.
 complement(A_i) ^ A_{i+1} = e).  The exponent r is inf, r + k is sup, and k
 is the canonical length.
 
-The computation is the classical one:
+A pair (A, B) is left-weighted in one step: with C = complement(A) ^ B it
+becomes (A*C, C^-1 * B).  A normal form is multiplied by one factor in one
+pass of such steps (the domino rule of Garside theory), which stops at the
+first pair that does not change:
 
-1. each negative letter c^-1 becomes complement(c) * delta^-1, and the
-   delta^-1 commutes to the front, rotating everything it passes by tau^-1;
-2. identity factors are dropped, delta factors are absorbed into the power
-   (rotating the factors to their left by tau);
-3. adjacent pairs (A, B) are left-weighted until every pair is weighted:
-   with C = complement(A) ^ B, the pair becomes (A*C, C^-1 * B).
+- g * delta^r A_1 ... A_k = delta^r tau^r(g) A_1 ... A_k; the pass runs to
+  the right, (g, A_i) -> (D_i, g'), and each D_i is final.  A delta can
+  only form at the front, where it joins the power.
+- delta^r A_1 ... A_k * f runs to the left, (A_i, f) -> (f', B_i).  A delta
+  that forms at position i moves to the front past A_1 ... A_{i-1}, rotating
+  each once (X delta = delta tau(X)), and the pass ends there.
 
-Step 3 runs a worklist to a fixed point; by uniqueness of the normal form
-the processing order cannot matter, which the test suite also checks by
-re-running with randomized orders.
+lcf() multiplies the letters in on the left, last letter first; a negative
+letter is c^-1 = delta^-1 tau^-1(complement(c)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .factors import (
     CanonicalFactor,
@@ -110,67 +111,68 @@ def left_weight_pair(
     return diamond(a, c), _left_quotient(c, b)
 
 
-def _normalize(n: int, power: int, factors: Iterable[CanonicalFactor]) -> LeftCanonicalForm:
-    """Fixed-point pass: drop e, absorb delta into power, left-weight pairs."""
-    fs: list[CanonicalFactor] = []
-    r = power
-    for f in factors:
-        if f.n != n:
-            raise ValueError(f"factor on {f.n} strands in a B_{n} normal form")
-        if f.is_identity:
-            continue
-        if f.is_delta:
-            r += 1
-            fs = [tau(g) for g in fs]
-            continue
-        fs.append(f)
-
+def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
+    """The normal form of g * form: one pass to the right, (g, A_i) -> (D_i, g)."""
+    n = form.n
+    if g.n != n:
+        raise ValueError(f"factor on {g.n} strands in a B_{n} normal form")
+    fs = form.factors
+    g = tau(g, form.power)
+    out: list[CanonicalFactor] = []
     i = 0
-    steps = 0
-    limit = 200 * (len(fs) + 2) ** 2
-    while i < len(fs) - 1:
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("left-weighting failed to stabilize (bug)")
-        a, b = left_weight_pair(fs[i], fs[i + 1])
-        if a == fs[i]:
-            i += 1
-            continue
-        if b.is_identity:
-            fs[i : i + 2] = [a]
-        else:
-            fs[i], fs[i + 1] = a, b
-        if a.is_delta:
-            r += 1
-            for j in range(i):
-                fs[j] = tau(fs[j])
-            del fs[i]
-        i = max(i - 1, 0)
-    return LeftCanonicalForm(n, r, tuple(fs))
+    while i < len(fs) and not g.is_identity:
+        d, b = left_weight_pair(g, fs[i])
+        if d is g:  # a weighted pair: nothing to its right changes
+            break
+        out.append(d)
+        g = b
+        i += 1
+    if not g.is_identity:
+        out.append(g)
+    out += fs[i:]
+    deltas = 0
+    while deltas < len(out) and out[deltas].is_delta:
+        deltas += 1
+    return LeftCanonicalForm(n, form.power + deltas, tuple(out[deltas:]))
+
+
+def right_multiply(form: LeftCanonicalForm, f: CanonicalFactor) -> LeftCanonicalForm:
+    """The normal form of form * f: one pass to the left, (A_i, f) -> (f, B_i)."""
+    n = form.n
+    if f.n != n:
+        raise ValueError(f"factor on {f.n} strands in a B_{n} normal form")
+    if f.is_identity:
+        return form
+    fs = form.factors
+    i = len(fs)
+    tail: list[CanonicalFactor] = []
+    while i and not f.is_delta:
+        a, b = left_weight_pair(fs[i - 1], f)
+        if a is fs[i - 1]:  # a weighted pair: nothing to its left changes
+            break
+        if not b.is_identity:
+            tail.append(b)
+        f = a
+        i -= 1
+    tail.reverse()
+    if f.is_delta:
+        return LeftCanonicalForm(n, form.power + 1, tuple([tau(x) for x in fs[:i]] + tail))
+    return LeftCanonicalForm(n, form.power, fs[:i] + (f, *tail))
 
 
 def lcf(w: BraidWord) -> LeftCanonicalForm:
     """The left canonical form of the braid represented by the word."""
     n = w.n
-    negs = 0
-    rev: list[CanonicalFactor] = []
-    # Scan right to left; a factor is rotated once by tau^-1 for every
-    # delta^-1 born at or to the right of it (X delta^-1 = delta^-1 tau^-1(X)).
+    form = LeftCanonicalForm(n, 0, ())
     for letter in reversed(w.letters):
         g = gen_factor(n, letter.t, letter.s)
         if letter.sign > 0:
-            rev.append(tau(g, -negs))
+            form = left_multiply(g, form)
         else:
-            negs += 1
-            rev.append(tau(complement(g), -negs))
-    return _normalize(n, -negs, reversed(rev))
-
-
-def lcf_of_factors(
-    n: int, power: int, factors: Sequence[CanonicalFactor]
-) -> LeftCanonicalForm:
-    """Normalize an arbitrary delta^power A_1 ... A_m factor sequence."""
-    return _normalize(n, power, factors)
+            # c^-1 * delta^r X = delta^(r-1) tau^(r-1)(complement(c)) X
+            shifted = LeftCanonicalForm(n, form.power - 1, form.factors)
+            form = left_multiply(complement(g), shifted)
+    return form
 
 
 def append_letter(form: LeftCanonicalForm, t: int, s: int, sign: int) -> LeftCanonicalForm:
@@ -178,9 +180,10 @@ def append_letter(form: LeftCanonicalForm, t: int, s: int, sign: int) -> LeftCan
     n = form.n
     g = gen_factor(n, t, s)
     if sign > 0:
-        return _normalize(n, form.power, form.factors + (g,))
-    shifted = tuple(tau(f, -1) for f in form.factors) + (tau(complement(g), -1),)
-    return _normalize(n, form.power - 1, shifted)
+        return right_multiply(form, g)
+    # delta^r X * c^-1 = delta^(r-1) tau^-1(X) tau^-1(complement(c))
+    shifted = LeftCanonicalForm(n, form.power - 1, tuple([tau(f, -1) for f in form.factors]))
+    return right_multiply(shifted, tau(complement(g), -1))
 
 
 def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
@@ -189,8 +192,3 @@ def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
     for f in form.factors:
         letters += factor_to_word(f).letters
     return BraidWord(form.n, tuple(letters))
-
-
-def inf_sup_len(form: LeftCanonicalForm) -> tuple[int, int, int]:
-    """(inf, sup, canonical length) = (r, r + k, k)."""
-    return form.inf, form.sup, form.canonical_length

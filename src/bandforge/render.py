@@ -10,11 +10,31 @@ fixed ordering, fixed float formatting, no timestamps.
 
 from __future__ import annotations
 
-from .factors import CanonicalFactor, DiskLayout
+from dataclasses import dataclass
+from math import cos, pi, sin
+
+from .factors import CanonicalFactor
 from .normal_form import LeftCanonicalForm
 
 _FILL = "#9ec5e8"
 _STROKE = "#1f3552"
+
+
+@dataclass(frozen=True)
+class DiskLayout:
+    """Puncture placement for diagrams: point k at radius 1/2, angle theta_k.
+
+    theta_k = (2k - 1 - n) * pi / n puts the punctures counterclockwise with
+    P_1 and P_n separated by the half-line at angle pi.
+    """
+
+    n: int
+
+    def angle(self, k: int) -> float:
+        return (2 * k - 1 - self.n) * pi / self.n
+
+    def position(self, k: int) -> tuple[float, float]:
+        return 0.5 * cos(self.angle(k)), 0.5 * sin(self.angle(k))
 
 
 def _fmt(v: float) -> str:

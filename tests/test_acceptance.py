@@ -306,6 +306,9 @@ def test_criterion_11_determinism():
     corpus += [w4(DELTA_TRIANGLE_WORD), w4(KNOT_7_2_WORD), w4(TWO_BAND_WORD)]
     for w in corpus:
         expected = lcf(w)
+        # The word as a raw factor sequence behind delta^-negs: each c^-1 is
+        # complement(c) delta^-1, and every delta^-1 moves to the front,
+        # rotating the factors it passes by tau^-1.
         negs = sum(1 for l in w.letters if l.sign < 0)
         seq, seen = [], 0
         for letter in w.letters:

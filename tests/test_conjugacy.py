@@ -12,8 +12,14 @@ from bandforge.conjugacy import (
     sss_enumerate,
     sss_representative,
 )
-from bandforge.factors import complement, enumerate_factors, factor_to_word, tau
-from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_of_factors, lcf_to_word
+from bandforge.factors import complement, enumerate_factors, factor_to_word
+from bandforge.normal_form import (
+    LeftCanonicalForm,
+    lcf,
+    lcf_to_word,
+    left_multiply,
+    right_multiply,
+)
 from bandforge.oracle import conjugate_ball_search
 from bandforge.words import BraidWord, parse_word, permutation, writhe
 
@@ -198,7 +204,7 @@ class TestSssEnumeration:
 
 
 class TestFactorSpaceConjugation:
-    """f^-1 W f = delta^(r-1) tau^(r-1)(complement(f)) A_1 ... A_k f, as sss_enumerate uses it."""
+    """f^-1 W f = delta^-1 * left_multiply(tau^-1(complement(f)), W f), as sss_enumerate uses it."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_word_conjugation(self, n, rng):
@@ -209,10 +215,11 @@ class TestFactorSpaceConjugation:
         assert any(f.is_identity for f in enumerate_factors(n))
         assert any(f.is_delta for f in enumerate_factors(n))
         for form in forms:
-            r, word = form.power, lcf_to_word(form)
+            word = lcf_to_word(form)
             for f in enumerate_factors(n):
-                by_factors = lcf_of_factors(
-                    n, r - 1, (tau(complement(f), r - 1),) + form.factors + (f,)
+                right = right_multiply(form, f)
+                by_factors = left_multiply(
+                    complement(f), LeftCanonicalForm(n, right.power - 1, right.factors)
                 )
                 assert by_factors == lcf(word.conjugated_by(factor_to_word(f)))
 

@@ -23,10 +23,10 @@ from bandforge.factors import (
     precedes,
     star,
     tau,
-    DiskLayout,
 )
 from bandforge.normal_form import lcf
 from bandforge.oracle import positive_equal
+from bandforge.render import DiskLayout
 from bandforge.words import delta_word, parse_word
 
 from conftest import assert_same_braid, b4

@@ -6,9 +6,7 @@ from bandforge.factors import delta_factor, enumerate_factors, factor_to_word
 from bandforge.normal_form import (
     LeftCanonicalForm,
     append_letter,
-    inf_sup_len,
     lcf,
-    lcf_of_factors,
     lcf_to_word,
     left_weight_pair,
 )
@@ -115,18 +113,21 @@ class TestLcfExamples:
 
 class TestInfSupLen:
     def test_knot72(self):
-        assert inf_sup_len(lcf(w4(KNOT_7_2_WORD))) == (-1, 7, 8)
+        form = lcf(w4(KNOT_7_2_WORD))
+        assert (form.inf, form.sup, form.canonical_length) == (-1, 7, 8)
 
     def test_delta_power(self):
-        assert inf_sup_len(lcf(w4("d^3"))) == (3, 3, 0)
+        form = lcf(w4("d^3"))
+        assert (form.inf, form.sup, form.canonical_length) == (3, 3, 0)
 
     def test_single_factor(self):
-        assert inf_sup_len(lcf(w4("b1"))) == (0, 1, 1)
+        form = lcf(w4("b1"))
+        assert (form.inf, form.sup, form.canonical_length) == (0, 1, 1)
 
 
 class TestLcfToWord:
     def test_delta_then_triangle(self):
-        form = lcf_of_factors(4, 1, (b4("a2a1"),))
+        form = LeftCanonicalForm(4, 1, (b4("a2a1"),))
         assert lcf_to_word(form).render() == "a(4,3) a(3,2) a(2,1) a(3,2) a(2,1)"
 
     def test_empty(self):
@@ -197,7 +198,9 @@ class TestDeterminism:
         for _ in range(60):
             w = random_braid_word(4, rng.randint(1, 9), rng, neg=0.4)
             expected = lcf(w)
-            # Rebuild the raw factor sequence exactly as lcf() seeds it.
+            # The word as a raw factor sequence behind delta^-negs: each c^-1 is
+            # complement(c) delta^-1, and every delta^-1 moves to the front,
+            # rotating the factors it passes by tau^-1.
             negs = sum(1 for l in w.letters if l.sign < 0)
             seq, seen = [], 0
             for letter in w.letters:

@@ -6,7 +6,7 @@ import pytest
 
 from bandforge import positivity
 from bandforge.factors import gen_factor
-from bandforge.normal_form import lcf, lcf_of_factors, lcf_to_word
+from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_to_word
 from bandforge.positivity import (
     ReducedWord,
     asqp_necessary,
@@ -64,7 +64,7 @@ class TestAsqpNecessary:
             assert asqp_necessary(random_braid_word(4, rng.randint(0, 8), rng))
 
     def test_inf_minus_two_fails(self):
-        deep = lcf_to_word(lcf_of_factors(4, -2, ()))
+        deep = lcf_to_word(LeftCanonicalForm(4, -2, ()))
         assert not asqp_necessary(deep * w4("a1 A1"))
 
 
@@ -84,12 +84,12 @@ class TestReduce:
         assert [f for f, _ in red.entries] == list(form.factors)
 
     def test_single_generator_with_delta_inverse(self):
-        form = lcf_of_factors(4, -1, (gen_factor(4, 2, 1),))
+        form = LeftCanonicalForm(4, -1, (gen_factor(4, 2, 1),))
         red = reduce(form)
         assert count_negative_bands(red) == 2  # complement of a 2-gon has n-2 letters
 
     def test_all_entries_negative_terminal(self):
-        form = lcf_of_factors(3, -3, (gen_factor(3, 2, 1),))
+        form = LeftCanonicalForm(3, -3, (gen_factor(3, 2, 1),))
         red = reduce(form)
         assert red.is_terminal
         assert red.power < 0 or all(s < 0 for _, s in red.entries)
@@ -283,7 +283,7 @@ class TestHigherStrandCounts:
 
     def test_delta_inverse_times_generator_form(self):
         # delta^-1 g reduces to complement(g)^-1: n - 2 negative letters.
-        form = lcf_of_factors(5, -1, (gen_factor(5, 2, 1),))
+        form = LeftCanonicalForm(5, -1, (gen_factor(5, 2, 1),))
         assert count_negative_bands(reduce(form)) == 3
 
     def test_bounds_still_sound(self, rng):
