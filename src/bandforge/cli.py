@@ -9,6 +9,7 @@ error, 2 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -35,6 +36,7 @@ from .render import render_svg
 from .words import ParseError, parse_word
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandforge",
@@ -67,11 +69,8 @@ def _parser() -> argparse.ArgumentParser:
     p = add("classify", "positivity classification report", words=1)
     p.add_argument("--budget", type=int)
 
-    p = add("nb", "negative band number bounds", words=1)
-    p.add_argument("--budget", type=int)
-
-    p = add("fdtc", "fractional Dehn twist coefficient interval", words=1)
-    p.add_argument("--budget", type=int)
+    add("nb", "negative band number bounds", words=1)
+    add("fdtc", "fractional Dehn twist coefficient interval", words=1)
 
     p = add("catalog", "list the canonical factors with their order structure")
     p.add_argument("--count", action="store_true", help="print only the count")

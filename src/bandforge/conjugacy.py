@@ -38,7 +38,7 @@ from typing import Callable, Optional, Union
 
 from .factors import complement, enumerate_factors, factor_to_word, tau
 from .normal_form import LeftCanonicalForm, lcf, left_multiply, right_multiply
-from .words import BraidWord, writhe
+from .words import BandLetter, BraidWord, writhe
 
 DEFAULT_SSS_BUDGET = 100_000
 BUDGET_ENV_VAR = "BANDFORGE_BUDGET"
@@ -116,15 +116,15 @@ class SummitData:
 
 def _improvement_phase(
     form: LeftCanonicalForm,
-    witness: BraidWord,
+    witness: list[BandLetter],
     step: Callable[[LeftCanonicalForm], LeftCanonicalForm],
     conjugator: Callable[[LeftCanonicalForm], BraidWord],
-) -> tuple[LeftCanonicalForm, BraidWord]:
+) -> LeftCanonicalForm:
     """Iterate one operation until the orbit revisits a form with no gain.
 
-    A repeat without an (inf, sup) improvement means further iteration loops
-    forever, and by the summit theorems the current value is then optimal
-    for this operation.
+    Each step's conjugator letters are appended to witness.  A repeat without
+    an (inf, sup) improvement means further iteration loops forever, and by
+    the summit theorems the current value is then optimal for this operation.
     """
     seen: set[LeftCanonicalForm] = set()
     while form.factors:
@@ -132,11 +132,11 @@ def _improvement_phase(
             break
         seen.add(form)
         before = (form.power, form.sup)
-        witness = witness * conjugator(form)
+        witness += conjugator(form).letters
         form = step(form)
         if (form.power, form.sup) != before:
             seen.clear()
-    return form, witness
+    return form
 
 
 def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
@@ -146,14 +146,14 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
     lcf(w) does not recompute it.
     """
     form = w if isinstance(w, LeftCanonicalForm) else lcf(w)
-    witness = BraidWord(w.n)
+    witness: list[BandLetter] = []
     while True:
         before = (form.power, form.sup)
-        form, witness = _improvement_phase(form, witness, cycling, cycling_conjugator)
-        form, witness = _improvement_phase(form, witness, decycling, decycling_conjugator)
+        form = _improvement_phase(form, witness, cycling, cycling_conjugator)
+        form = _improvement_phase(form, witness, decycling, decycling_conjugator)
         if (form.power, form.sup) == before:
             break
-    return SummitData(form, form.inf, form.sup, witness)
+    return SummitData(form, form.inf, form.sup, BraidWord(w.n, tuple(witness)))
 
 
 def sss_enumerate(

@@ -8,38 +8,38 @@ the punctured-disk diagram and contributing a positive word of length k-1.
 The identity e is the all-singletons partition, the fundamental element
 delta the one-block partition.
 
-Besides its sorted blocks, every factor carries two arrays of length n + 1
-(entry 0 unused), built once at construction:
+A factor is two arrays of length n + 1 (entry 0 unused):
 
 - the labels: label[k] is the least element of k's block;
 - the permutation: k -> the previous element of k's block, cyclically.
+
+Its word length, flags and hash are read off the labels once; its sorted
+blocks are grouped by label only when first read (text, JSON, words, SVG).
 
 The prefix order is refinement, so the greatest common prefix A ^ B (meet)
 is the common refinement: k is labelled by the first index with the same
 pair of labels.  Products and left quotients of factors, when they are
 factors again, are products of the permutations, their cycles being the
-blocks; the complement A^-1 * delta is k -> pa^-1[k - 1], cyclically.  Each
-of these is one O(n) pass over the arrays.
+blocks; the complement A^-1 * delta is k -> pa^-1[k - 1], cyclically, and
+tau conjugates the permutation by the rotation.  Each of these is one O(n)
+pass over the arrays.
 
 Factors are interned by their label array.  A result is looked up first;
-only a new one has its blocks built (grouped by label, so already sorted)
-and is checked to be non-crossing, by one stack scan over 1..n.  Everything
-here is a pure function of immutable values; complements and rotations are
-also cached in module-level memo tables.
+only a new one is checked to be non-crossing, by one stack scan over 1..n.
+Everything here is a pure function of immutable values; complements and
+rotations are also cached in module-level memo tables.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .words import BandLetter, BraidWord
-
-#: Generator chord (t, s) with t > s; the positive band a_{t,s}.
-Chord = tuple[int, int]
 
 #: Largest n for which enumerate_factors will tabulate all Catalan(n) factors.
 ENUMERATION_BOUND = 8
@@ -71,54 +71,49 @@ def _crossing(label: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalFactor:
-    """A non-crossing partition of {1..n}; blocks sorted, singletons included.
+    """A non-crossing partition of {1..n}, held as its label and permutation arrays.
 
     Construct through :func:`factor` (or the e/delta/generator helpers), which
-    normalizes and validates; two factors are equal iff their block sets are.
+    validates; two factors are equal iff their arrays are.
     """
 
     n: int
-    blocks: tuple[tuple[int, ...], ...]
+    _label: tuple[int, ...]
+    _perm: tuple[int, ...]
+    # Set once: factors key every memo table, set and normal form, and each
+    # multiplication step reads the flags.  word_length is n - #blocks.
+    word_length: int = field(init=False, repr=False, compare=False)
+    is_identity: bool = field(init=False, repr=False, compare=False)
+    is_delta: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _blocks: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        # Built once: factors key every memo table, set and normal form, and
-        # the kernel operations read the two arrays.
-        label = [0] * (self.n + 1)
-        perm = [0] * (self.n + 1)
-        for block in self.blocks:
-            prev = block[-1]
-            for x in block:
-                label[x] = block[0]
-                perm[x] = prev
-                prev = x
-        object.__setattr__(self, "_hash", hash((self.n, self.blocks)))
-        object.__setattr__(self, "_label", tuple(label))
-        object.__setattr__(self, "_perm", tuple(perm))
+        n = self.n
+        # Each block has one k with label[k] == k, its least element; so has entry 0.
+        count = sum(map(eq, self._label, range(n + 1))) - 1
+        object.__setattr__(self, "word_length", n - count)
+        object.__setattr__(self, "is_identity", count == n)
+        object.__setattr__(self, "is_delta", count == 1 and n >= 2)
+        object.__setattr__(self, "_hash", hash(self._label))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
-
     @property
-    def word_length(self) -> int:
-        """Length of any positive band word for this factor: n - #blocks."""
-        return self.n - len(self.blocks)
-
-    @property
-    def is_identity(self) -> bool:
-        return len(self.blocks) == self.n
-
-    @property
-    def is_delta(self) -> bool:
-        return len(self.blocks) == 1 and self.n >= 2
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks in order of least element, singletons included; built on first use."""
+        if self._blocks is None:
+            groups: dict[int, list[int]] = {}
+            for k in range(1, self.n + 1):
+                groups.setdefault(self._label[k], []).append(k)
+            # Every thread that gets here stores an equal tuple.
+            object.__setattr__(self, "_blocks", tuple(map(tuple, groups.values())))
+        return self._blocks
 
     def non_singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b for b in self.blocks if len(b) > 1)
@@ -141,23 +136,26 @@ class CanonicalFactor:
 _INTERN: dict[tuple[int, ...], CanonicalFactor] = {}
 
 
-def _from_labels(label: tuple[int, ...]) -> CanonicalFactor:
+def _from_labels(label: tuple[int, ...], perm: Optional[Sequence[int]] = None) -> CanonicalFactor:
     """The factor with these labels: label[k] is the least element of k's block.
 
-    Entry 0 is unused (0).  A factor not yet interned is built with its blocks
-    in order of least element, and rejected if two of them cross.
+    Entry 0 is unused (0).  A factor not yet interned is rejected if two of
+    its blocks cross; its permutation is perm when the caller holds it, else
+    read off the labels.
     """
     f = _INTERN.get(label)
     if f is None:
         n = len(label) - 1
-        groups: dict[int, list[int]] = {}
-        for k in range(1, n + 1):
-            groups.setdefault(label[k], []).append(k)
         if crossed := _crossing(label):
-            x, y = (tuple(groups[l]) for l in crossed)
+            x, y = (tuple(k for k in range(1, n + 1) if label[k] == l) for l in crossed)
             raise ValueError(f"blocks {x} and {y} cross")
-        f = CanonicalFactor(n, tuple(map(tuple, groups.values())))
-        f = _INTERN.setdefault(f._label, f)
+        if perm is None:
+            # Until the scan ends, a block's least element maps to its last element so far.
+            perm = list(range(n + 1))
+            for k in range(1, n + 1):
+                if (l := label[k]) != k:
+                    perm[k], perm[l] = perm[l], k
+        f = _INTERN.setdefault(label, CanonicalFactor(n, label, tuple(perm)))
     return f
 
 
@@ -200,11 +198,6 @@ def gen_factor(n: int, t: int, s: int) -> CanonicalFactor:
     label = list(range(n + 1))
     label[max(s, t)] = min(s, t)
     return _from_labels(tuple(label))
-
-
-def all_chords(n: int) -> tuple[Chord, ...]:
-    """All n(n-1)/2 positive generators, sorted."""
-    return tuple((t, s) for t in range(2, n + 1) for s in range(1, t))
 
 
 @lru_cache(maxsize=None)
@@ -289,14 +282,11 @@ def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
 
 @lru_cache(maxsize=None)
 def _tau_shift(a: CanonicalFactor, shift: int) -> CanonicalFactor:
-    n = a.n
-    label = list(range(n + 1))
-    for block in a.non_singleton_blocks():
-        rotated = [(x + shift - 1) % n + 1 for x in block]
-        least = min(rotated)
-        for x in rotated:
-            label[x] = least
-    return _from_labels(tuple(label))
+    n, p = a.n, a._perm
+    # The rotation r: x -> x + shift (mod n, into 1..n) maps p to r p r^-1.
+    r = (0, *range(shift + 1, n + 1), *range(1, shift + 1))
+    r_inv = (0, *range(n - shift + 1, n + 1), *range(1, n - shift + 1))
+    return _from_perm(n, [r[p[x]] for x in r_inv])
 
 
 def tau(a: CanonicalFactor, k: int = 1) -> CanonicalFactor:
@@ -313,7 +303,7 @@ def _from_perm(n: int, p: Sequence[int]) -> CanonicalFactor:
         while not label[k]:
             label[k] = start
             k = p[k]
-    return _from_labels(tuple(label))
+    return _from_labels(tuple(label), p)
 
 
 def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:

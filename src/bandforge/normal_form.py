@@ -175,17 +175,6 @@ def lcf(w: BraidWord) -> LeftCanonicalForm:
     return form
 
 
-def append_letter(form: LeftCanonicalForm, t: int, s: int, sign: int) -> LeftCanonicalForm:
-    """The normal form of form * a_{t,s}^sign; used for incremental sweeps."""
-    n = form.n
-    g = gen_factor(n, t, s)
-    if sign > 0:
-        return right_multiply(form, g)
-    # delta^r X * c^-1 = delta^(r-1) tau^-1(X) tau^-1(complement(c))
-    shifted = LeftCanonicalForm(n, form.power - 1, tuple([tau(f, -1) for f in form.factors]))
-    return right_multiply(shifted, tau(complement(g), -1))
-
-
 def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
     """A word for the normal form: delta^r expanded, then the factor words."""
     letters = list((delta_word(form.n) ** form.power).letters)

@@ -1,14 +1,34 @@
-"""Shared helpers: factor aliases for B_4, word surgery, oracle equality."""
+"""Shared helpers: factor aliases for B_4, chords, word surgery, oracle equality."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from bandforge.factors import CanonicalFactor, delta_factor, factor, identity_factor
-from bandforge.oracle import oracle_equal
+from bandforge.factors import (
+    CanonicalFactor,
+    complement,
+    delta_factor,
+    factor,
+    gen_factor,
+    identity_factor,
+    tau,
+)
+from bandforge.normal_form import LeftCanonicalForm, right_multiply
 from bandforge.words import BandLetter, BraidWord, parse_word
+
+from oracle import oracle_equal
+
+#: Generator chord (t, s) with t > s; the positive band a_{t,s}.
+Chord = tuple[int, int]
+
+# Every property runs the same examples on every run, with no example
+# database and no per-example deadline.
+settings.register_profile("bandforge", derandomize=True, database=None, deadline=None)
+settings.load_profile("bandforge")
 
 
 def b4(name: str) -> CanonicalFactor:
@@ -30,6 +50,31 @@ def b4(name: str) -> CanonicalFactor:
         "delta": delta_factor(4),
     }
     return table[name]
+
+
+def all_chords(n: int) -> tuple[Chord, ...]:
+    """All n(n-1)/2 positive generators, sorted."""
+    return tuple((t, s) for t in range(2, n + 1) for s in range(1, t))
+
+
+def append_letter(form: LeftCanonicalForm, t: int, s: int, sign: int) -> LeftCanonicalForm:
+    """The normal form of form * a_{t,s}^sign; used for incremental sweeps."""
+    n = form.n
+    g = gen_factor(n, t, s)
+    if sign > 0:
+        return right_multiply(form, g)
+    # delta^r X * c^-1 = delta^(r-1) tau^-1(X) tau^-1(complement(c))
+    shifted = LeftCanonicalForm(n, form.power - 1, tuple([tau(f, -1) for f in form.factors]))
+    return right_multiply(shifted, tau(complement(g), -1))
+
+
+@st.composite
+def sparse_words(draw, n: int, max_size: int = 8, max_negatives: int = 3) -> BraidWord:
+    """Words of at most max_size letters, at most max_negatives of them negative."""
+    chords = draw(st.lists(st.sampled_from(all_chords(n)), max_size=max_size))
+    flips = draw(st.sets(st.integers(0, len(chords) - 1), max_size=max_negatives)) if chords else ()
+    letters = (BandLetter(t, s, -1 if i in flips else 1) for i, (t, s) in enumerate(chords))
+    return BraidWord(n, tuple(letters))
 
 
 def w4(text: str) -> BraidWord:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-from .words import BandLetter, BraidWord, permutation
+from bandforge.words import BandLetter, BraidWord, permutation
 
 Chord = tuple[int, int]
 Word = tuple[Chord, ...]
@@ -260,7 +260,7 @@ def conjugate_ball_search(
     """Search all conjugators of length <= max_len; None is not a disproof."""
     if w1.n != w2.n:
         raise ValueError(f"mismatched strand counts {w1.n} and {w2.n}")
-    from .normal_form import lcf
+    from bandforge.normal_form import lcf
 
     n = w1.n
     target = lcf(w2)

@@ -17,12 +17,10 @@ from bandforge.conjugacy import are_conjugate, sss_representative
 from bandforge.factors import catalan, enumerate_factors, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
-    append_letter,
     lcf,
     lcf_to_word,
     left_weight_pair,
 )
-from bandforge.oracle import _ball_key, delta_factorizations, element_key
 from bandforge.positivity import (
     ReducedWord,
     count_negative_bands,
@@ -34,6 +32,7 @@ from bandforge.fdtc import fdtc_bounds, fdtc_exact_if_pinched
 from bandforge.words import BandLetter, BraidWord
 
 from conftest import (
+    append_letter,
     b4,
     insert_cancellation,
     insert_relator,
@@ -41,6 +40,7 @@ from conftest import (
     random_sparse_word,
     w4,
 )
+from oracle import _ball_key, delta_factorizations, element_key
 from test_fdtc import TWO_FACTOR_FDTC, WORDS
 from test_oracle import DELTA_WORDS_LISTED
 from test_tables import INCREASABLE_ROWS, NON_INCREASING_ROWS, rotation_classes
@@ -252,7 +252,7 @@ def test_criterion_09_oracle_agreement():
     # Random mixed pairs, compared after delta normalization: constructed
     # equal pairs first (insertion of cancellations or relators), then
     # unconstrained sparse pairs.
-    from bandforge.oracle import oracle_equal
+    from oracle import oracle_equal
 
     rng = random.Random(9_000)
     for _ in range(5_000):

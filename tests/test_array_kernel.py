@@ -5,9 +5,15 @@ arrays; transfer_reference keeps the block-based versions they replaced.
 Every result must be the very same interned object, and every factor's
 arrays must agree with its blocks.  The cached operations are called through
 __wrapped__ so that their memo tables cannot answer in their place.
+
+The arrays are the factor: its blocks are grouped by label only when first
+read, and lcf() never reads them.
 """
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -16,6 +22,7 @@ from bandforge.factors import (
     _tau_shift,
     complement,
     enumerate_factors,
+    factor,
     meet,
     precedes,
 )
@@ -34,7 +41,11 @@ fresh_tau = _tau_shift.__wrapped__
 
 
 def _assert_arrays(f):
-    """label[k] = least element of k's block; perm[k] = its predecessor, cyclically."""
+    """label[k] = least element of k's block; perm[k] = its predecessor, cyclically.
+
+    The blocks are sorted, in order of least element, and share out 1..n by
+    label; the flags and the hash agree with them.
+    """
     label, perm = [0] * (f.n + 1), [0] * (f.n + 1)
     for block in f.blocks:
         for i, x in enumerate(block):
@@ -42,6 +53,14 @@ def _assert_arrays(f):
             perm[x] = block[i - 1]
     assert f._label == tuple(label) and f._perm == tuple(perm), f.text()
     assert _INTERN[f._label] is f, f.text()
+    assert sorted(x for b in f.blocks for x in b) == list(range(1, f.n + 1)), f.text()
+    assert all(list(b) == sorted(b) for b in f.blocks), f.text()
+    assert [b[0] for b in f.blocks] == sorted(set(f._label[1:])), f.text()
+    count = len(f.blocks)
+    assert f.word_length == f.n - count, f.text()
+    assert f.is_identity == (count == f.n), f.text()
+    assert f.is_delta == (count == 1 and f.n >= 2), f.text()
+    assert hash(f) == hash(f._label), f.text()
 
 
 def _assert_single(a):
@@ -88,3 +107,47 @@ def test_sampled_lcf_factors(n):
         related += not meet(a, b).is_identity
     # The sample must hold pairs with a nontrivial meet, not only e.
     assert related >= 40
+
+
+def _words(seed, count):
+    rng = random.Random(seed)
+    return [random_braid_word(12, 40, rng, neg=0.3) for _ in range(count)]
+
+
+def test_lcf_builds_no_blocks():
+    before = set(_INTERN)
+    forms = [lcf(w) for w in _words(8807, 20)]
+    new = [f for label, f in _INTERN.items() if label not in before]
+    assert new
+    assert all(f._blocks is None for f in new)
+    for form in forms:
+        form.text()
+        assert all(f._blocks is not None for f in form.factors)
+
+
+def test_factors_are_frozen():
+    f = factor(5, [(1, 3, 4)])
+    for name, value in (("n", 4), ("_label", f._label), ("is_delta", True), ("_blocks", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, value)
+    assert f.text() == "{1,3,4}" and f.word_length == 2 and not f.is_delta
+
+
+def test_concurrent_readers_agree():
+    words = _words(9311, 30)
+
+    def read(w):
+        form = lcf(w)
+        return form.power, form.factors, form.text()
+
+    # Switch threads often, so that they meet inside interning and first block reads.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(lambda: [read(w) for w in words]) for _ in range(4)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    single = [read(w) for w in words]
+    assert all(result == single for result in results)

@@ -206,6 +206,12 @@ class TestExitCodes:
         capture(argv + ["--budget", budget], expect_code=1)
         assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["nb", "fdtc"])
+    def test_budget_not_offered(self, command, capsys):
+        # Neither command enumerates a summit set, so neither reads a budget.
+        capture([command, "-n", "4", "A1", "--budget", "5"], expect_code=1)
+        assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "raw,message",
         [

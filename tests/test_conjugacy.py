@@ -20,10 +20,10 @@ from bandforge.normal_form import (
     left_multiply,
     right_multiply,
 )
-from bandforge.oracle import conjugate_ball_search
 from bandforge.words import BraidWord, parse_word, permutation, writhe
 
 from conftest import random_braid_word, w4
+from oracle import conjugate_ball_search
 from sss_reference import sss_enumerate_by_words
 
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"

@@ -8,7 +8,6 @@ import pytest
 
 from bandforge.factors import (
     CanonicalFactor,
-    all_chords,
     catalan,
     complement,
     delta_factor,
@@ -25,11 +24,11 @@ from bandforge.factors import (
     tau,
 )
 from bandforge.normal_form import lcf
-from bandforge.oracle import positive_equal
 from bandforge.render import DiskLayout
 from bandforge.words import delta_word, parse_word
 
-from conftest import assert_same_braid, b4
+from conftest import all_chords, assert_same_braid, b4
+from oracle import positive_equal
 from transfer_reference import block_of, merge, right_set, split_left, starting_set
 
 
@@ -142,7 +141,7 @@ class TestHashEquality:
 
     def test_hash_is_the_field_hash(self):
         for f in self.ALL:
-            assert hash(f) == hash((f.n, f.blocks))
+            assert hash(f) == hash(f._label)
 
     def test_equality(self):
         for f, g in itertools.product(self.ALL, repeat=2):
@@ -151,7 +150,7 @@ class TestHashEquality:
 
     def test_uninterned_copy_equal(self):
         for f in self.ALL:
-            copy = CanonicalFactor(f.n, f.blocks)
+            copy = CanonicalFactor(f.n, f._label, f._perm)
             assert copy is not f and copy == f and hash(copy) == hash(f)
 
     def test_foreign_type_not_implemented(self):

@@ -4,7 +4,7 @@ The invariant tests count the left-weighting steps that leave their pair
 unchanged: a pass stops at the first such pair, so each multiplication makes
 at most one, and lcf() at most one per letter.  The properties compare both
 multiplications with the randomized transfer-loop reference and check the
-group law lcf(u v) = lcf(word(lcf(u)) v).
+group laws lcf(u v) = lcf(word(lcf(u)) v) and lcf(w w^-1) = e.
 """
 
 import random
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandforge import normal_form
-from bandforge.factors import all_chords, enumerate_factors, tau
+from bandforge.factors import enumerate_factors, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
     lcf,
@@ -24,10 +24,10 @@ from bandforge.normal_form import (
 )
 from bandforge.words import BandLetter, BraidWord
 
-from conftest import random_braid_word
+from conftest import all_chords, random_braid_word, sparse_words
 from transfer_reference import normalize_random_order
 
-PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+PROPERTY_SETTINGS = settings(max_examples=300)
 
 
 class PairCounter:
@@ -124,6 +124,12 @@ class TestProperties:
         u = data.draw(words(n), label="u")
         v = data.draw(words(n), label="v")
         assert lcf(u * v) == lcf(lcf_to_word(lcf(u)) * v)
+
+    @given(st.data())
+    def test_word_times_inverse_is_identity(self, data):
+        n = data.draw(st.sampled_from((3, 4)), label="n")
+        w = data.draw(sparse_words(n), label="word")
+        assert lcf(w * w.inverse()) == LeftCanonicalForm(n, 0, ())
 
     def test_empty_form(self):
         for n in (2, 3, 4):

@@ -5,7 +5,6 @@ import pytest
 from bandforge.factors import delta_factor, enumerate_factors, factor_to_word
 from bandforge.normal_form import (
     LeftCanonicalForm,
-    append_letter,
     lcf,
     lcf_to_word,
     left_weight_pair,
@@ -13,6 +12,7 @@ from bandforge.normal_form import (
 from bandforge.words import BraidWord, delta_word, parse_word, permutation, writhe
 
 from conftest import (
+    append_letter,
     assert_same_braid,
     b4,
     insert_cancellation,

@@ -2,7 +2,10 @@
 
 import pytest
 
-from bandforge.oracle import (
+from bandforge.words import BandLetter, BraidWord, delta_word, parse_word
+
+from conftest import random_braid_word, w4
+from oracle import (
     OracleBoundError,
     conjugate_ball_search,
     delta_factorizations,
@@ -12,9 +15,6 @@ from bandforge.oracle import (
     positive_equal,
     rewrite_ball,
 )
-from bandforge.words import BandLetter, BraidWord, delta_word, parse_word
-
-from conftest import random_braid_word, w4
 
 # The twelve delta factorizations as listed (up to reordering commuting
 # letters these are all of them; as ordered words the ball holds 16).
@@ -49,7 +49,7 @@ class TestRewriteBall:
         assert len(delta_factorizations(5)) == 125
 
     def test_ball_closed_under_neighbors(self):
-        from bandforge.oracle import relation_neighbors
+        from oracle import relation_neighbors
 
         ball = rewrite_ball(chords("a1 a2 a1"))
         for w in ball:
@@ -91,7 +91,7 @@ class TestPositiveEqual:
         # positive_equal stops walking once it meets the other word and
         # answers from cached labels when it can; the verdict must be ball
         # membership with the cache cold, holding either ball, or both.
-        from bandforge.oracle import _ball_key, clear_caches, relation_neighbors
+        from oracle import _ball_key, clear_caches, relation_neighbors
 
         for _ in range(40):
             u = random_braid_word(4, rng.randint(2, 6), rng)
@@ -117,7 +117,7 @@ class TestPositiveEqual:
         # differ; no pair that shares a rewrite ball may be cut off that way.
         import random
 
-        from bandforge.oracle import _same_ball, relation_neighbors
+        from oracle import _same_ball, relation_neighbors
         from bandforge.words import permutation
 
         rng = random.Random(4099 * n)
@@ -219,9 +219,9 @@ class TestAgreementWithNormalForm:
         # same partition of all positive B_4 words of length <= 6.
         import itertools
 
-        from bandforge.factors import all_chords
+        from conftest import all_chords
         from bandforge.normal_form import lcf
-        from bandforge.oracle import _ball_key
+        from oracle import _ball_key
         from bandforge.words import BandLetter
 
         by_oracle, by_lcf = {}, {}
@@ -241,7 +241,7 @@ class TestAgreementWithNormalForm:
             u = random_braid_word(4, rng.randint(7, 9), rng)
             if rng.random() < 0.5:
                 # A relation-rewritten variant: equal by construction.
-                from bandforge.oracle import relation_neighbors
+                from oracle import relation_neighbors
 
                 chords_u = tuple(l.chord for l in u.letters)
                 neighbors = list(relation_neighbors(chords_u))

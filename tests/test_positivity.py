@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bandforge import positivity
 from bandforge.factors import gen_factor
@@ -26,6 +28,7 @@ from conftest import (
     insert_cancellation,
     insert_relator,
     random_braid_word,
+    sparse_words,
     w4,
 )
 
@@ -328,3 +331,15 @@ class TestStrictlyAsqp:
             found += 1
             assert is_conj_strictly_asqp(candidate).holds
         assert found >= 5
+
+
+class TestNbProperties:
+    @given(st.data())
+    def test_bounds_hold(self, data):
+        n = data.draw(st.sampled_from((3, 4)), label="n")
+        w = data.draw(sparse_words(n), label="word")
+        word, summit = nb_report(w), nb_conjugacy_report(w)
+        for report in (word, summit):
+            assert report.nb_lower <= report.nb_exact <= report.nb_upper
+        assert word.nb_exact <= sum(l.sign < 0 for l in w.letters)
+        assert summit.nb_exact <= word.nb_exact

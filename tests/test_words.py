@@ -2,7 +2,6 @@
 
 import pytest
 
-from bandforge.oracle import relation_neighbors
 from bandforge.words import (
     MAX_WORD_LETTERS,
     BandLetter,
@@ -16,6 +15,7 @@ from bandforge.words import (
 )
 
 from conftest import random_braid_word
+from oracle import relation_neighbors
 
 
 class TestParse:

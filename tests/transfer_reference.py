@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from bandforge.factors import (
     CanonicalFactor,
-    Chord,
     complement,
     delta_factor,
     factor,
@@ -31,6 +30,8 @@ from bandforge.factors import (
     tau,
 )
 from bandforge.normal_form import LeftCanonicalForm, lcf
+
+from conftest import Chord
 
 
 def block_of(a: CanonicalFactor) -> dict[int, tuple[int, ...]]:
