@@ -109,7 +109,7 @@ def _cmd_sss(args) -> tuple[dict, str]:
     if args.enumerate:
         elements = sss_enumerate(data, args.budget)
         payload["size"] = len(elements)
-        payload["elements"] = sorted(e.to_json()["word"] for e in elements)
+        payload["elements"] = sorted(lcf_to_word(e).render() for e in elements)
         lines.append(f"size: {len(elements)}")
     return payload, "\n".join(lines)
 

@@ -26,6 +26,21 @@ Cycling and decycling are one multiplication each, of the normal form
 delta^r A_2 ... A_k by tau^-r(A_1) on the right, and of delta^r A_1 ... A_{k-1}
 by A_k on the left.
 
+Two exact facts keep the closure small:
+
+- tau-orbits.  tau(X)^tau(f) = tau(X^f), and the SSS is closed under tau
+  (conjugation by delta).  So a new element's whole orbit tau^k(Y),
+  k = 0 ... n-1, joins the set at once, and only Y itself is expanded: the
+  conjugates of tau^k(Y) are the tau^k-images of those of Y.
+- Early inf rejection.  Every SSS element has the same inf p.  For
+  W = delta^p A_1 ... A_k,
+      delta^p < f^-1 W f  <=>  f delta^p < W f  <=>  tau^p(f) < A_1 ... A_k f,
+  and a factor is a prefix of a positive braid iff it is a prefix of the
+  braid's first canonical factor.  So with right = right_multiply(W, f),
+  inf(f^-1 W f) >= p exactly when a delta formed (right.power > p) or
+  tau^p(f) precedes right's first factor; any other f is rejected before
+  the left multiplication.
+
 Conjugation convention: conjugate(w, v) = v^-1 w v.  Witness words compose
 left to right along the search path.
 """
@@ -36,9 +51,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .factors import complement, enumerate_factors, factor_to_word, tau
+from .factors import (
+    CanonicalFactor,
+    complement,
+    enumerate_factors,
+    factor_to_word,
+    precedes,
+    tau,
+)
 from .normal_form import LeftCanonicalForm, lcf, left_multiply, right_multiply
-from .words import BandLetter, BraidWord, writhe
+from .words import BandLetter, BraidWord, delta_word, writhe
 
 DEFAULT_SSS_BUDGET = 100_000
 BUDGET_ENV_VAR = "BANDFORGE_BUDGET"
@@ -100,6 +122,8 @@ class SummitData:
 
     witness conjugates the original word to the representative; sss_witnesses
     maps each enumerated element to a conjugator from the representative.
+    Those conjugators are not unique: an element reached through the tau-orbit
+    of another has a witness that ends in delta^k.
     """
 
     representative: LeftCanonicalForm
@@ -156,6 +180,13 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
     return SummitData(form, form.inf, form.sup, BraidWord(w.n, tuple(witness)))
 
 
+def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bool:
+    """Whether inf(f^-1 W f) >= p, from right = W f and shifted = tau^p(f), inf(W) = p."""
+    if right.power > p:
+        return True
+    return precedes(shifted, right.factors[0]) if right.factors else shifted.is_identity
+
+
 def sss_enumerate(
     data: SummitData, budget: Optional[int] = None
 ) -> frozenset[LeftCanonicalForm]:
@@ -163,6 +194,11 @@ def sss_enumerate(
 
     Keeps exactly the conjugates with (inf, sup) = (inf_conj, sup_conj); the
     closure is the full super summit set, independent of the representative.
+    Each new element Y enters with its tau-orbit, tau^k(Y) with witness
+    witness(Y) * delta^k, and only Y is expanded.  A conjugator f is rejected
+    on inf after right_multiply(W, f) alone: f^-1 W f keeps inf p iff a delta
+    formed or tau^p(f) precedes the first factor of W f (see the module
+    docstring for the derivation).
     """
     if data.sss is not None:
         return data.sss
@@ -171,29 +207,44 @@ def sss_enumerate(
         source = BUDGET_ENV_VAR if budget is None else "budget"
         raise ValueError(f"{source} must be at least 1, got {limit}")
     n = data.representative.n
-    target = (data.inf_conj, data.sup_conj)
+    p = data.inf_conj
+    target = (p, data.sup_conj)
+    delta = delta_word(n)
     conjugators = [
-        (f, complement(f), factor_to_word(f))
+        (f, complement(f), tau(f, p), factor_to_word(f))
         for f in enumerate_factors(n)
         if not f.is_identity
     ]
-    witnesses: dict[LeftCanonicalForm, BraidWord] = {data.representative: BraidWord(n)}
-    queue = [data.representative]
+    witnesses: dict[LeftCanonicalForm, BraidWord] = {}
+    queue: list[LeftCanonicalForm] = []
+
+    def add_orbit(y: LeftCanonicalForm, path: BraidWord) -> None:
+        x = y
+        while True:
+            if len(witnesses) >= limit:
+                raise BudgetExceededError(len(witnesses), limit)
+            witnesses[x] = path
+            x = LeftCanonicalForm(n, p, tuple([tau(a) for a in x.factors]))
+            if x == y:
+                break
+            path = path * delta
+        queue.append(y)
+
+    add_orbit(data.representative, BraidWord(n))
     while queue:
         current = queue.pop()
         base_witness = witnesses[current]
-        for f, f_complement, fw in conjugators:
-            # delta^-1 tau^-1(complement(f)) delta^p X = delta^(p-1) tau^(p-1)(complement(f)) X
+        for f, f_complement, f_shifted, fw in conjugators:
             right = right_multiply(current, f)
+            if not _keeps_inf(right, f_shifted, p):
+                continue
+            # delta^-1 tau^-1(complement(f)) delta^q X = delta^(q-1) tau^(q-1)(complement(f)) X
             candidate = left_multiply(
                 f_complement, LeftCanonicalForm(n, right.power - 1, right.factors)
             )
             if (candidate.power, candidate.sup) != target or candidate in witnesses:
                 continue
-            if len(witnesses) >= limit:
-                raise BudgetExceededError(len(witnesses), limit)
-            witnesses[candidate] = base_witness * fw
-            queue.append(candidate)
+            add_orbit(candidate, base_witness * fw)
     data.sss = frozenset(witnesses)
     data.sss_witnesses = witnesses
     return data.sss

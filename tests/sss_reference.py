@@ -1,39 +1,66 @@
-"""The word-based super summit closure, kept as a differential reference.
+"""Super summit closures kept as differential references.
 
-The library closes the super summit set in factor space; this is the
-closure it replaced, which expands every element back into a word,
-conjugates that word by each factor's word and re-runs lcf.  Both visit
-the conjugators in the same order from a LIFO queue, so they must agree on
-the set, on the witnesses and on the order the witnesses were found in.
+The library closes the super summit set in factor space, one element per
+tau-orbit, and rejects a conjugator on inf after the right multiplication.
+Two closures it replaced stay here:
+
+- sss_enumerate_by_words expands every element back into a word, conjugates
+  that word by each factor's word and re-runs lcf;
+- sss_enumerate_per_element conjugates in factor space but expands every
+  element and builds every candidate with both multiplications.
+
+All three must agree on the set.  Witnesses are not unique, so the
+references keep none, and tests re-check the library's by lcf.
 """
 
 from __future__ import annotations
 
 from bandforge.conjugacy import BudgetExceededError, SummitData
-from bandforge.factors import enumerate_factors, factor_to_word
-from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_to_word
-from bandforge.words import BraidWord
+from bandforge.factors import complement, enumerate_factors, factor_to_word
+from bandforge.normal_form import (
+    LeftCanonicalForm,
+    lcf,
+    lcf_to_word,
+    left_multiply,
+    right_multiply,
+)
 
 
-def sss_enumerate_by_words(
-    data: SummitData, limit: int = 100_000
-) -> tuple[frozenset[LeftCanonicalForm], dict[LeftCanonicalForm, BraidWord]]:
-    """(super summit set, witnesses from the representative); data is not modified."""
+def sss_enumerate_by_words(data: SummitData, limit: int = 100_000) -> frozenset[LeftCanonicalForm]:
+    """The super summit set, each candidate by lcf of a conjugated word; data is not modified."""
     n = data.representative.n
     target = (data.inf_conj, data.sup_conj)
     conjugators = [factor_to_word(f) for f in enumerate_factors(n) if not f.is_identity]
-    witnesses: dict[LeftCanonicalForm, BraidWord] = {data.representative: BraidWord(n)}
+    seen = {data.representative}
+    queue = [data.representative]
+    while queue:
+        base = lcf_to_word(queue.pop())
+        for aw in conjugators:
+            candidate = lcf(base.conjugated_by(aw))
+            if (candidate.power, candidate.sup) != target or candidate in seen:
+                continue
+            if len(seen) >= limit:
+                raise BudgetExceededError(len(seen), limit)
+            seen.add(candidate)
+            queue.append(candidate)
+    return frozenset(seen)
+
+
+def sss_enumerate_per_element(data: SummitData) -> frozenset[LeftCanonicalForm]:
+    """The super summit set, each candidate f^-1 W f built by both multiplications."""
+    n = data.representative.n
+    target = (data.inf_conj, data.sup_conj)
+    conjugators = [(f, complement(f)) for f in enumerate_factors(n) if not f.is_identity]
+    seen = {data.representative}
     queue = [data.representative]
     while queue:
         current = queue.pop()
-        base = lcf_to_word(current)
-        base_witness = witnesses[current]
-        for aw in conjugators:
-            candidate = lcf(base.conjugated_by(aw))
-            if (candidate.power, candidate.sup) != target or candidate in witnesses:
-                continue
-            if len(witnesses) >= limit:
-                raise BudgetExceededError(len(witnesses), limit)
-            witnesses[candidate] = base_witness * aw
-            queue.append(candidate)
-    return frozenset(witnesses), witnesses
+        for f, f_complement in conjugators:
+            right = right_multiply(current, f)
+            candidate = left_multiply(
+                f_complement, LeftCanonicalForm(n, right.power - 1, right.factors)
+            )
+            if (candidate.power, candidate.sup) == target and candidate not in seen:
+                seen.add(candidate)
+                queue.append(candidate)
+    return frozenset(seen)

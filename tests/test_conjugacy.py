@@ -1,9 +1,13 @@
 """Cycling, decycling, summit representatives, SSS enumeration, conjugacy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bandforge import conjugacy
 from bandforge.conjugacy import (
     BudgetExceededError,
+    _keeps_inf,
     are_conjugate,
     cycling,
     cycling_conjugator,
@@ -12,7 +16,7 @@ from bandforge.conjugacy import (
     sss_enumerate,
     sss_representative,
 )
-from bandforge.factors import complement, enumerate_factors, factor_to_word
+from bandforge.factors import catalan, complement, enumerate_factors, factor_to_word, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
     lcf,
@@ -22,9 +26,9 @@ from bandforge.normal_form import (
 )
 from bandforge.words import BraidWord, parse_word, permutation, writhe
 
-from conftest import random_braid_word, w4
+from conftest import random_braid_word, sparse_words, w4
 from oracle import conjugate_ball_search
-from sss_reference import sss_enumerate_by_words
+from sss_reference import sss_enumerate_by_words, sss_enumerate_per_element
 
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
 KNOT_7_2_POSITIVE = "a1 a1 b2 b1 a3"
@@ -225,17 +229,16 @@ class TestFactorSpaceConjugation:
 
 
 class TestSssAgainstWordClosure:
-    """The factor-space closure against the word-based one it replaced."""
+    """The library closure against the word-based one it replaced."""
 
     @staticmethod
     def assert_same_closure(w):
         data = sss_representative(w)
-        expected, witnesses = sss_enumerate_by_words(sss_representative(w))
-        assert sss_enumerate(data) == expected
-        assert list(data.sss_witnesses) == list(witnesses)
-        assert [v.render() for v in data.sss_witnesses.values()] == [
-            v.render() for v in witnesses.values()
-        ]
+        assert sss_enumerate(data) == sss_enumerate_by_words(sss_representative(w))
+        # Witnesses are not unique, so each is checked, not compared.
+        base = lcf_to_word(data.representative)
+        for element, path in data.sss_witnesses.items():
+            assert lcf(base.conjugated_by(path)) == element
 
     @pytest.mark.parametrize("n, samples, max_len", [(3, 12, 8), (4, 12, 8), (5, 4, 6)])
     def test_seeded_words(self, n, samples, max_len, rng):
@@ -245,6 +248,79 @@ class TestSssAgainstWordClosure:
     @pytest.mark.parametrize("text", [KNOT_7_2_WORD, KNOT_7_2_POSITIVE, TWO_BAND_WORD])
     def test_worked_examples(self, text):
         self.assert_same_closure(w4(text))
+
+
+class TestSssAgainstPerElementClosure:
+    """The orbit closure against the factor-space one that expands every element."""
+
+    # Seeded 10-letter B_6 words with one negative letter; SSS sizes 186, 228, 252.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a(4,1) a(3,2) A(5,4) a(5,4) a(2,1) a(5,2) a(4,1) a(6,2) a(6,4) a(5,1)",
+            "A(4,1) a(6,2) a(3,2) a(2,1) a(6,5) a(6,3) a(5,3) a(4,2) a(6,4) a(4,1)",
+            "a(4,1) a(6,2) a(6,5) A(2,1) a(6,3) a(6,4) a(4,3) a(4,3) a(4,3) a(4,2)",
+        ],
+    )
+    def test_six_strand_words(self, text):
+        w = parse_word(text, 6)
+        assert sss_enumerate(sss_representative(w)) == sss_enumerate_per_element(
+            sss_representative(w)
+        )
+
+
+class TestClosureInvariants:
+    """The two facts the closure rests on, and the work they save."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_inf_decided_after_right_pass(self, data):
+        n = data.draw(st.integers(3, 5), label="n")
+        p = data.draw(st.integers(-3, 5), label="power")
+        form = LeftCanonicalForm(n, p, lcf(data.draw(sparse_words(n), label="word")).factors)
+        for f in enumerate_factors(n):
+            right = right_multiply(form, f)
+            candidate = left_multiply(
+                complement(f), LeftCanonicalForm(n, right.power - 1, right.factors)
+            )
+            assert _keeps_inf(right, tau(f, p), p) == (candidate.power >= p)
+
+    @pytest.mark.parametrize("n, samples, max_len", [(3, 10, 8), (4, 10, 10), (5, 6, 8)])
+    def test_sss_is_tau_closed(self, n, samples, max_len, rng):
+        for _ in range(samples):
+            w = random_braid_word(n, rng.randint(0, max_len), rng, neg=0.4)
+            elements = sss_enumerate(sss_representative(w))
+            rotated = {
+                LeftCanonicalForm(n, e.power, tuple(tau(a) for a in e.factors))
+                for e in elements
+            }
+            assert rotated == elements
+
+    @pytest.mark.parametrize("n, samples, max_len", [(3, 10, 8), (4, 10, 10), (5, 6, 8)])
+    def test_one_expansion_per_orbit(self, n, samples, max_len, rng, monkeypatch):
+        calls = 0
+        inner = conjugacy.right_multiply
+
+        def counted(form, f):
+            nonlocal calls
+            calls += 1
+            return inner(form, f)
+
+        for _ in range(samples):
+            w = random_braid_word(n, rng.randint(0, max_len), rng, neg=0.4)
+            data = sss_representative(w)
+            monkeypatch.setattr(conjugacy, "right_multiply", counted)
+            calls = 0
+            elements = sss_enumerate(data)
+            monkeypatch.undo()
+            orbits = {
+                frozenset(
+                    LeftCanonicalForm(n, e.power, tuple(tau(a, k) for a in e.factors))
+                    for k in range(n)
+                )
+                for e in elements
+            }
+            assert calls <= (catalan(n) - 1) * len(orbits), w.render()
 
 
 class TestAreConjugate:
