@@ -42,7 +42,8 @@ Two exact facts keep the closure small:
   the left multiplication.
 
 Conjugation convention: conjugate(w, v) = v^-1 w v.  Witness words compose
-left to right along the search path.
+left to right along the search path.  The summit search records each
+step's conjugating factor and builds the witness word only when it is read.
 """
 
 from __future__ import annotations
@@ -102,36 +103,63 @@ def decycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
     return left_multiply(form.factors[-1], rest)
 
 
+#: One conjugating step: the word of the factor (sign +1) or of its inverse (-1).
+Step = tuple[CanonicalFactor, int]
+
+
+def _cycling_step(form: LeftCanonicalForm) -> Step:
+    """The conjugator of cycling a form with k >= 1: the rotated first factor."""
+    return tau(form.factors[0], -form.power), 1
+
+
+def _decycling_step(form: LeftCanonicalForm) -> Step:
+    """The conjugator of decycling a form with k >= 1: the inverse of the last factor."""
+    return form.factors[-1], -1
+
+
+def _steps_word(n: int, steps: tuple[Step, ...]) -> BraidWord:
+    """The letters of the steps' conjugators, in order."""
+    letters: list[BandLetter] = []
+    for f, sign in steps:
+        word = factor_to_word(f)
+        letters += word.letters if sign > 0 else word.inverse().letters
+    return BraidWord(n, tuple(letters))
+
+
 def cycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
     """v with cycling(W) = lcf(v^-1 W v): the rotated first factor."""
-    if not form.factors:
-        return BraidWord(form.n)
-    return factor_to_word(tau(form.factors[0], -form.power))
+    return _steps_word(form.n, (_cycling_step(form),) if form.factors else ())
 
 
 def decycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
     """v with decycling(W) = lcf(v^-1 W v): the inverse of the last factor."""
-    if not form.factors:
-        return BraidWord(form.n)
-    return factor_to_word(form.factors[-1]).inverse()
+    return _steps_word(form.n, (_decycling_step(form),) if form.factors else ())
 
 
 @dataclass
 class SummitData:
     """A super summit representative plus (optionally) the enumerated set.
 
-    witness conjugates the original word to the representative; sss_witnesses
-    maps each enumerated element to a conjugator from the representative.
-    Those conjugators are not unique: an element reached through the tau-orbit
-    of another has a witness that ends in delta^k.
+    witness_steps records the conjugators from the original word to the
+    representative as (factor, sign) pairs, one per cycling or decycling
+    step; the witness property expands them into a word on each read and
+    stores nothing, so the summit search itself builds no words.
+    sss_witnesses maps each enumerated element to a conjugator from the
+    representative.  Those conjugators are not unique: an element reached
+    through the tau-orbit of another has a witness that ends in delta^k.
     """
 
     representative: LeftCanonicalForm
     inf_conj: int
     sup_conj: int
-    witness: BraidWord
+    witness_steps: tuple[Step, ...]
     sss: Optional[frozenset[LeftCanonicalForm]] = None
     sss_witnesses: dict[LeftCanonicalForm, BraidWord] = field(default_factory=dict)
+
+    @property
+    def witness(self) -> BraidWord:
+        """v with lcf(v^-1 w v) = representative for the original word w."""
+        return _steps_word(self.representative.n, self.witness_steps)
 
     @property
     def sss_size(self) -> Optional[int]:
@@ -140,24 +168,28 @@ class SummitData:
 
 def _improvement_phase(
     form: LeftCanonicalForm,
-    witness: list[BandLetter],
-    step: Callable[[LeftCanonicalForm], LeftCanonicalForm],
-    conjugator: Callable[[LeftCanonicalForm], BraidWord],
+    steps: list[Step],
+    operation: Callable[[LeftCanonicalForm], LeftCanonicalForm],
+    conjugating_step: Callable[[LeftCanonicalForm], Step],
 ) -> LeftCanonicalForm:
     """Iterate one operation until the orbit revisits a form with no gain.
 
-    Each step's conjugator letters are appended to witness.  A repeat without
-    an (inf, sup) improvement means further iteration loops forever, and by
-    the summit theorems the current value is then optimal for this operation.
+    Each step's conjugating (factor, sign) pair is appended to steps; no word
+    is built.  A repeat without an (inf, sup) improvement means further
+    iteration loops forever, and by the summit theorems the current value is
+    then optimal for this operation.  seen is keyed on the factor tuple
+    alone, which is exact: it is cleared whenever (power, sup) changes, so
+    every form in it has the same n and power, and two such forms are equal
+    exactly when their factors are.
     """
-    seen: set[LeftCanonicalForm] = set()
+    seen: set[tuple[CanonicalFactor, ...]] = set()
     while form.factors:
-        if form in seen:
+        if form.factors in seen:
             break
-        seen.add(form)
+        seen.add(form.factors)
         before = (form.power, form.sup)
-        witness += conjugator(form).letters
-        form = step(form)
+        steps.append(conjugating_step(form))
+        form = operation(form)
         if (form.power, form.sup) != before:
             seen.clear()
     return form
@@ -170,14 +202,14 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
     lcf(w) does not recompute it.
     """
     form = w if isinstance(w, LeftCanonicalForm) else lcf(w)
-    witness: list[BandLetter] = []
+    steps: list[Step] = []
     while True:
         before = (form.power, form.sup)
-        form = _improvement_phase(form, witness, cycling, cycling_conjugator)
-        form = _improvement_phase(form, witness, decycling, decycling_conjugator)
+        form = _improvement_phase(form, steps, cycling, _cycling_step)
+        form = _improvement_phase(form, steps, decycling, _decycling_step)
         if (form.power, form.sup) == before:
             break
-    return SummitData(form, form.inf, form.sup, BraidWord(w.n, tuple(witness)))
+    return SummitData(form, form.inf, form.sup, tuple(steps))
 
 
 def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bool:

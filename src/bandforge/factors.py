@@ -314,6 +314,11 @@ def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]
     """
     if not precedes(b, complement(a)):
         return None
+    return _product(a, b)
+
+
+def _product(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
+    """The factor A*B for a prefix B of complement(A): k -> pa[pb[k]]."""
     pa = a._perm
     return _from_perm(a.n, [pa[x] for x in b._perm])
 

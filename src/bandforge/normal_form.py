@@ -31,8 +31,8 @@ from functools import lru_cache
 from .factors import (
     CanonicalFactor,
     _left_quotient,
+    _product,
     complement,
-    diamond,
     factor_to_word,
     gen_factor,
     meet,
@@ -108,7 +108,8 @@ def left_weight_pair(
     c = meet(complement(a), b)
     if c.is_identity:
         return a, b
-    return diamond(a, c), _left_quotient(c, b)
+    # c precedes complement(a) (it is their meet), so A*C needs no diamond test.
+    return _product(a, c), _left_quotient(c, b)
 
 
 def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:

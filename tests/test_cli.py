@@ -10,11 +10,28 @@ import pytest
 
 import bandforge.cli
 import bandforge.conjugacy
+import bandforge.fdtc
 import bandforge.positivity
 from bandforge.cli import run
-from bandforge.words import MAX_WORD_LETTERS
+from bandforge.normal_form import lcf
+from bandforge.words import MAX_WORD_LETTERS, parse_word
+
+import summit_corpus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
+KNOT_7_2_POSITIVE = "a1 a1 b2 b1 a3"
+TWO_BAND_WORD = "a3 A1 A2 b2 b1 a1 b2 b1 a3"
+
+
+def counted(calls, name, fn):
+    """fn, counting each call under name in calls."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def capture(argv, expect_code=0):
@@ -47,6 +64,18 @@ class TestLcfCommand:
                 "lcf_nb2.json",
                 ["lcf", "-n", "4", "a3 A1 A2 b2 b1 a1 b2 b1 a3", "--json"],
             ),
+            # The summit commands, witnesses included.
+            ("sss_knot72.json", ["sss", "-n", "4", KNOT_7_2_WORD, "--json"]),
+            ("sss_nb2.json", ["sss", "-n", "4", TWO_BAND_WORD, "--json"]),
+            (
+                "sss_enumerate_knot72.json",
+                ["sss", "-n", "4", KNOT_7_2_WORD, "--enumerate", "--json"],
+            ),
+            (
+                "conjugate_knot72.json",
+                ["conjugate", "-n", "4", KNOT_7_2_WORD, KNOT_7_2_POSITIVE, "--json"],
+            ),
+            ("classify_nb2.json", ["classify", "-n", "4", TWO_BAND_WORD, "--json"]),
         ],
     )
     def test_golden_stability(self, name, argv):
@@ -117,23 +146,42 @@ class TestAnalysisCommands:
         # A positive word: its summit has inf >= 0, so no enumeration runs
         # and every normal form computed is one the command asked for.
         calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
         for module in (bandforge.cli, bandforge.conjugacy, bandforge.positivity):
-            monkeypatch.setattr(module, "lcf", counted("lcf", module.lcf))
+            monkeypatch.setattr(module, "lcf", counted(calls, "lcf", module.lcf))
         monkeypatch.setattr(
             bandforge.cli,
             "sss_representative",
-            counted("sss_representative", bandforge.cli.sss_representative),
+            counted(calls, "sss_representative", bandforge.cli.sss_representative),
         )
         capture([command, "-n", "4", "a1 a2 b1", "--json"])
         assert calls == {"lcf": 1, "sss_representative": 1}
+
+    @pytest.mark.parametrize("command", ["classify", "nb", "fdtc"])
+    def test_summit_search_builds_no_words(self, command, monkeypatch):
+        # The 7_2 word reaches its summit (inf 0, so no enumeration) in
+        # several cycling steps; none of them may expand a factor to letters.
+        calls = Counter()
+        for name in ("factor_to_word", "BraidWord"):
+            original = getattr(bandforge.conjugacy, name)
+            monkeypatch.setattr(bandforge.conjugacy, name, counted(calls, name, original))
+        summits = []
+
+        def recorded(search):
+            def wrapper(w):
+                summits.append(search(w))
+                return summits[-1]
+
+            return wrapper
+
+        for module in (bandforge.cli, bandforge.fdtc):
+            monkeypatch.setattr(module, "sss_representative", recorded(module.sss_representative))
+        capture([command, "-n", "4", KNOT_7_2_WORD, "--json"])
+        assert calls == {} and len(summits) == 1
+        monkeypatch.undo()
+        summit = summits[0]
+        assert len(summit.witness_steps) >= 3
+        w = parse_word(KNOT_7_2_WORD, 4)
+        assert lcf(w.conjugated_by(summit.witness)) == summit.representative
 
     def test_fdtc(self):
         data = json.loads(capture(["fdtc", "-n", "4", "d a1", "--json"]))
@@ -152,6 +200,16 @@ class TestAnalysisCommands:
         assert data["conjugate"] is True
         assert data["sss_size_a"] == data["sss_size_b"] > 0
         assert data["witness"]
+
+
+class TestSummitCorpus:
+    @pytest.mark.parametrize("index", range(len(summit_corpus.CASES)))
+    def test_output_digests(self, index):
+        # Every byte of sss, classify, nb, fdtc and conjugate output on a
+        # seeded corpus, witnesses included, as recorded by summit_corpus.py.
+        record = json.loads(summit_corpus.DIGESTS.read_text())[index]
+        assert (record["n"], record["word"], record["v"]) == summit_corpus.CASES[index]
+        assert summit_corpus.digests(index) == record["digests"]
 
 
 class TestRender:

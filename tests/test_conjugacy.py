@@ -143,6 +143,19 @@ class TestSummitRepresentative:
                         assert rival.power <= data.inf_conj
                         assert rival.sup >= data.sup_conj
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_witness_read_from_steps(self, data):
+        n = data.draw(st.integers(3, 5), label="n")
+        w = data.draw(sparse_words(n, max_size=10, max_negatives=3), label="word")
+        summit = sss_representative(w)
+        witness = summit.witness
+        assert lcf(w.conjugated_by(witness)) == summit.representative
+        assert summit.witness == witness
+        from_form = sss_representative(lcf(w))
+        assert from_form.representative == summit.representative
+        assert from_form.witness.render() == witness.render()
+
 
 class TestSssEnumeration:
     def test_central_power_is_singleton(self):

@@ -36,6 +36,10 @@ def test_left_weight_pair_all_pairs(n):
     for a in factors:
         for b in factors:
             _assert_agrees(a, b)
+            # The kernel's first factor skips diamond's prefix test; it must agree.
+            c = meet(complement(a), b)
+            if not c.is_identity:
+                assert kernel(a, b)[0] == diamond(a, c), (a.text(), b.text())
 
 
 @pytest.mark.parametrize("n", [12, 16])
