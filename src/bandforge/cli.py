@@ -22,15 +22,14 @@ from .conjugacy import (
 )
 from .factors import (
     CanonicalFactor,
-    complement,
     enumerate_factors,
     factor_to_word,
-    meet,
+    parse_partition_text,
     precedes,
     tau,
 )
 from .fdtc import fdtc_bounds
-from .normal_form import lcf, lcf_to_word
+from .normal_form import lcf, lcf_to_word, left_weight_pair
 from .positivity import _nb_from_form, _strictly_asqp_verdict
 from .render import render_svg
 from .words import ParseError, parse_word
@@ -200,18 +199,16 @@ def _cmd_catalog(args) -> tuple[dict, str]:
 
 def pair_rows(n: int) -> list[dict]:
     """Left-weighting classification of every ordered factor pair."""
-    from .normal_form import left_weight_pair
-
     rows = []
     for a in enumerate_factors(n):
         for b in enumerate_factors(n):
-            increasable = not meet(complement(a), b).is_identity
+            # The pair comes back unchanged exactly when complement(a) ^ b = e.
             wa, wb = left_weight_pair(a, b)
             rows.append(
                 {
                     "left": a.text(),
                     "right": b.text(),
-                    "increasable": increasable,
+                    "increasable": wa is not a,
                     "weighted": [wa.text(), wb.text()],
                 }
             )
@@ -263,8 +260,6 @@ def _cmd_tables(args) -> tuple[dict, str]:
 
 
 def _cmd_render(args) -> tuple[Optional[dict], str]:
-    from .factors import parse_partition_text
-
     target = args.target.strip()
     if target.startswith("{") or target == "e":
         svg = render_svg(parse_partition_text(target, args.n))

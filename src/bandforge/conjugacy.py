@@ -41,9 +41,12 @@ Two exact facts keep the closure small:
   tau^p(f) precedes right's first factor; any other f is rejected before
   the left multiplication.
 
-Conjugation convention: conjugate(w, v) = v^-1 w v.  Witness words compose
-left to right along the search path.  The summit search records each
-step's conjugating factor and builds the witness word only when it is read.
+Conjugation convention: conjugate(w, v) = v^-1 w v.  Every conjugator is
+held as signed-factor steps that compose left to right along the search
+path: (f, 1) for f and (f, -1) for f^-1.  The summit search records one step
+per cycling or decycling step; the closure records (f, 1) per conjugating
+factor and (delta, 1) per tau-shift.  No word is built until a witness is
+read, and then normal_form.signed_word spells the steps out as letters.
 """
 
 from __future__ import annotations
@@ -52,16 +55,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .factors import (
-    CanonicalFactor,
-    complement,
-    enumerate_factors,
-    factor_to_word,
-    precedes,
-    tau,
+from .factors import CanonicalFactor, complement, delta_factor, enumerate_factors, precedes, tau
+from .normal_form import (
+    LeftCanonicalForm,
+    SignedFactor,
+    lcf,
+    left_multiply,
+    right_multiply,
+    signed_word,
 )
-from .normal_form import LeftCanonicalForm, lcf, left_multiply, right_multiply
-from .words import BandLetter, BraidWord, delta_word, writhe
+from .words import BraidWord, writhe
 
 DEFAULT_SSS_BUDGET = 100_000
 BUDGET_ENV_VAR = "BANDFORGE_BUDGET"
@@ -103,74 +106,66 @@ def decycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
     return left_multiply(form.factors[-1], rest)
 
 
-#: One conjugating step: the word of the factor (sign +1) or of its inverse (-1).
-Step = tuple[CanonicalFactor, int]
-
-
-def _cycling_step(form: LeftCanonicalForm) -> Step:
+def _cycling_step(form: LeftCanonicalForm) -> SignedFactor:
     """The conjugator of cycling a form with k >= 1: the rotated first factor."""
     return tau(form.factors[0], -form.power), 1
 
 
-def _decycling_step(form: LeftCanonicalForm) -> Step:
+def _decycling_step(form: LeftCanonicalForm) -> SignedFactor:
     """The conjugator of decycling a form with k >= 1: the inverse of the last factor."""
     return form.factors[-1], -1
 
 
-def _steps_word(n: int, steps: tuple[Step, ...]) -> BraidWord:
-    """The letters of the steps' conjugators, in order."""
-    letters: list[BandLetter] = []
-    for f, sign in steps:
-        word = factor_to_word(f)
-        letters += word.letters if sign > 0 else word.inverse().letters
-    return BraidWord(n, tuple(letters))
-
-
 def cycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
     """v with cycling(W) = lcf(v^-1 W v): the rotated first factor."""
-    return _steps_word(form.n, (_cycling_step(form),) if form.factors else ())
+    return signed_word(form.n, 0, (_cycling_step(form),) if form.factors else ())
 
 
 def decycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
     """v with decycling(W) = lcf(v^-1 W v): the inverse of the last factor."""
-    return _steps_word(form.n, (_decycling_step(form),) if form.factors else ())
+    return signed_word(form.n, 0, (_decycling_step(form),) if form.factors else ())
 
 
 @dataclass
 class SummitData:
     """A super summit representative plus (optionally) the enumerated set.
 
-    witness_steps records the conjugators from the original word to the
-    representative as (factor, sign) pairs, one per cycling or decycling
-    step; the witness property expands them into a word on each read and
-    stores nothing, so the summit search itself builds no words.
-    sss_witnesses maps each enumerated element to a conjugator from the
-    representative.  Those conjugators are not unique: an element reached
-    through the tau-orbit of another has a witness that ends in delta^k.
+    witness_steps is the conjugator from the original word to the
+    representative, one (factor, sign) step per cycling or decycling step.
+    sss_witnesses maps each enumerated element to the steps of a conjugator
+    from the representative: (f, 1) per conjugating factor and (delta, 1)
+    per tau-shift.  Those conjugators are not unique: an element reached
+    through the tau-orbit of another has one that ends in delta^k.  Steps
+    become a word only through signed_word, as the witness property does on
+    each read; inf_conj and sup_conj are read off the representative.
     """
 
     representative: LeftCanonicalForm
-    inf_conj: int
-    sup_conj: int
-    witness_steps: tuple[Step, ...]
+    witness_steps: tuple[SignedFactor, ...]
     sss: Optional[frozenset[LeftCanonicalForm]] = None
-    sss_witnesses: dict[LeftCanonicalForm, BraidWord] = field(default_factory=dict)
+    sss_witnesses: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = field(
+        default_factory=dict
+    )
+
+    @property
+    def inf_conj(self) -> int:
+        return self.representative.inf
+
+    @property
+    def sup_conj(self) -> int:
+        return self.representative.sup
 
     @property
     def witness(self) -> BraidWord:
         """v with lcf(v^-1 w v) = representative for the original word w."""
-        return _steps_word(self.representative.n, self.witness_steps)
-
-    @property
-    def sss_size(self) -> Optional[int]:
-        return len(self.sss) if self.sss is not None else None
+        return signed_word(self.representative.n, 0, self.witness_steps)
 
 
 def _improvement_phase(
     form: LeftCanonicalForm,
-    steps: list[Step],
+    steps: list[SignedFactor],
     operation: Callable[[LeftCanonicalForm], LeftCanonicalForm],
-    conjugating_step: Callable[[LeftCanonicalForm], Step],
+    conjugating_step: Callable[[LeftCanonicalForm], SignedFactor],
 ) -> LeftCanonicalForm:
     """Iterate one operation until the orbit revisits a form with no gain.
 
@@ -202,14 +197,14 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
     lcf(w) does not recompute it.
     """
     form = w if isinstance(w, LeftCanonicalForm) else lcf(w)
-    steps: list[Step] = []
+    steps: list[SignedFactor] = []
     while True:
         before = (form.power, form.sup)
         form = _improvement_phase(form, steps, cycling, _cycling_step)
         form = _improvement_phase(form, steps, decycling, _decycling_step)
         if (form.power, form.sup) == before:
             break
-    return SummitData(form, form.inf, form.sup, tuple(steps))
+    return SummitData(form, tuple(steps))
 
 
 def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bool:
@@ -226,11 +221,11 @@ def sss_enumerate(
 
     Keeps exactly the conjugates with (inf, sup) = (inf_conj, sup_conj); the
     closure is the full super summit set, independent of the representative.
-    Each new element Y enters with its tau-orbit, tau^k(Y) with witness
-    witness(Y) * delta^k, and only Y is expanded.  A conjugator f is rejected
-    on inf after right_multiply(W, f) alone: f^-1 W f keeps inf p iff a delta
-    formed or tau^p(f) precedes the first factor of W f (see the module
-    docstring for the derivation).
+    Each new element Y enters with its tau-orbit, tau^k(Y) with the steps of
+    Y followed by k steps (delta, 1), and only Y is expanded.  A conjugator f
+    is rejected on inf after right_multiply(W, f) alone: f^-1 W f keeps inf p
+    iff a delta formed or tau^p(f) precedes the first factor of W f (see the
+    module docstring for the derivation).
     """
     if data.sss is not None:
         return data.sss
@@ -241,16 +236,14 @@ def sss_enumerate(
     n = data.representative.n
     p = data.inf_conj
     target = (p, data.sup_conj)
-    delta = delta_word(n)
+    delta = (delta_factor(n), 1)
     conjugators = [
-        (f, complement(f), tau(f, p), factor_to_word(f))
-        for f in enumerate_factors(n)
-        if not f.is_identity
+        (f, complement(f), tau(f, p)) for f in enumerate_factors(n) if not f.is_identity
     ]
-    witnesses: dict[LeftCanonicalForm, BraidWord] = {}
+    witnesses: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = {}
     queue: list[LeftCanonicalForm] = []
 
-    def add_orbit(y: LeftCanonicalForm, path: BraidWord) -> None:
+    def add_orbit(y: LeftCanonicalForm, path: tuple[SignedFactor, ...]) -> None:
         x = y
         while True:
             if len(witnesses) >= limit:
@@ -259,14 +252,14 @@ def sss_enumerate(
             x = LeftCanonicalForm(n, p, tuple([tau(a) for a in x.factors]))
             if x == y:
                 break
-            path = path * delta
+            path += (delta,)
         queue.append(y)
 
-    add_orbit(data.representative, BraidWord(n))
+    add_orbit(data.representative, ())
     while queue:
         current = queue.pop()
-        base_witness = witnesses[current]
-        for f, f_complement, f_shifted, fw in conjugators:
+        base_path = witnesses[current]
+        for f, f_complement, f_shifted in conjugators:
             right = right_multiply(current, f)
             if not _keeps_inf(right, f_shifted, p):
                 continue
@@ -276,7 +269,7 @@ def sss_enumerate(
             )
             if (candidate.power, candidate.sup) != target or candidate in witnesses:
                 continue
-            add_orbit(candidate, base_witness * fw)
+            add_orbit(candidate, base_path + ((f, 1),))
     data.sss = frozenset(witnesses)
     data.sss_witnesses = witnesses
     return data.sss
@@ -310,8 +303,8 @@ def are_conjugate(
         return ConjugacyResult(False, None, size1, size2)
     sss1 = sss_enumerate(rep1, budget)
     if rep2.representative in sss1:
-        path = rep1.sss_witnesses[rep2.representative]
-        witness = rep1.witness * path * rep2.witness.inverse()
-        return ConjugacyResult(True, witness, len(sss1), len(sss1))
+        back = tuple((f, -sign) for f, sign in reversed(rep2.witness_steps))
+        steps = rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
+        return ConjugacyResult(True, signed_word(w1.n, 0, steps), len(sss1), len(sss1))
     size2 = len(sss_enumerate(rep2, budget))
     return ConjugacyResult(False, None, len(sss1), size2)

@@ -13,8 +13,8 @@ A factor is two arrays of length n + 1 (entry 0 unused):
 - the labels: label[k] is the least element of k's block;
 - the permutation: k -> the previous element of k's block, cyclically.
 
-Its word length, flags and hash are read off the labels once; its sorted
-blocks are grouped by label only when first read (text, JSON, words, SVG).
+Its word length and flags are read off the labels once; its sorted blocks
+are grouped by label only when first read (text, JSON, words, SVG).
 
 The prefix order is refinement, so the greatest common prefix A ^ B (meet)
 is the common refinement: k is labelled by the first index with the same
@@ -24,10 +24,12 @@ blocks; the complement A^-1 * delta is k -> pa^-1[k - 1], cyclically, and
 tau conjugates the permutation by the rotation.  Each of these is one O(n)
 pass over the arrays.
 
-Factors are interned by their label array.  A result is looked up first;
-only a new one is checked to be non-crossing, by one stack scan over 1..n.
-Everything here is a pure function of immutable values; complements and
-rotations are also cached in module-level memo tables.
+Factors are interned by their label array, one object per array, so two
+factors are equal exactly when they are the same object, and they hash by
+identity.  A result is looked up first; only a new one is checked to be
+non-crossing, by one stack scan over 1..n.  Everything here is a pure
+function of immutable values; complements and rotations are also cached in
+module-level memo tables.
 """
 
 from __future__ import annotations
@@ -71,26 +73,24 @@ def _crossing(label: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CanonicalFactor:
     """A non-crossing partition of {1..n}, held as its label and permutation arrays.
 
     Construct through :func:`factor` (or the e/delta/generator helpers), which
-    validates; two factors are equal iff their arrays are.
+    validates and interns; equality is identity, which is exact because the
+    intern table holds one factor per label array.
     """
 
     n: int
     _label: tuple[int, ...]
     _perm: tuple[int, ...]
-    # Set once: factors key every memo table, set and normal form, and each
-    # multiplication step reads the flags.  word_length is n - #blocks.
-    word_length: int = field(init=False, repr=False, compare=False)
-    is_identity: bool = field(init=False, repr=False, compare=False)
-    is_delta: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-    _blocks: Optional[tuple[tuple[int, ...], ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Set once: each multiplication step reads the flags.  word_length is
+    # n - #blocks.
+    word_length: int = field(init=False, repr=False)
+    is_identity: bool = field(init=False, repr=False)
+    is_delta: bool = field(init=False, repr=False)
+    _blocks: Optional[tuple[tuple[int, ...], ...]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -99,10 +99,10 @@ class CanonicalFactor:
         object.__setattr__(self, "word_length", n - count)
         object.__setattr__(self, "is_identity", count == n)
         object.__setattr__(self, "is_delta", count == 1 and n >= 2)
-        object.__setattr__(self, "_hash", hash(self._label))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # Equality is identity, so a copy or an unpickled factor is the interned one.
+        return _from_labels, (self._label,)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:

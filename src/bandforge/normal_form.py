@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .factors import (
     CanonicalFactor,
@@ -176,9 +177,19 @@ def lcf(w: BraidWord) -> LeftCanonicalForm:
     return form
 
 
+#: A factor (sign +1) or its inverse (sign -1); the factor itself is always positive.
+SignedFactor = tuple[CanonicalFactor, int]
+
+
+def signed_word(n: int, power: int, entries: Iterable[SignedFactor]) -> BraidWord:
+    """The word delta^power E_1 ... E_m: each entry's factor word, or its inverse."""
+    letters = list((delta_word(n) ** power).letters)
+    for f, sign in entries:
+        word = factor_to_word(f)
+        letters += (word if sign > 0 else word.inverse()).letters
+    return BraidWord(n, tuple(letters))
+
+
 def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
     """A word for the normal form: delta^r expanded, then the factor words."""
-    letters = list((delta_word(form.n) ** form.power).letters)
-    for f in form.factors:
-        letters += factor_to_word(f).letters
-    return BraidWord(form.n, tuple(letters))
+    return signed_word(form.n, form.power, ((f, 1) for f in form.factors))

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .conjugacy import SummitData, sss_enumerate, sss_representative
-from .factors import CanonicalFactor, complement, factor_to_word, tau
-from .normal_form import LeftCanonicalForm, lcf
-from .words import BraidWord, delta_word
-
-#: (factor, sign) with sign in {+1, -1}; the factor itself is always positive.
-SignedFactor = tuple[CanonicalFactor, int]
+from .factors import complement, tau
+from .normal_form import LeftCanonicalForm, SignedFactor, lcf, signed_word
+from .words import BraidWord
 
 
 @dataclass(frozen=True)
@@ -57,11 +54,7 @@ class ReducedWord:
         return self.power >= 0 or all(sign < 0 for _, sign in self.entries)
 
     def to_word(self) -> BraidWord:
-        letters = list((delta_word(self.n) ** self.power).letters)
-        for f, sign in self.entries:
-            fw = factor_to_word(f)
-            letters += (fw if sign > 0 else fw.inverse()).letters
-        return BraidWord(self.n, tuple(letters))
+        return signed_word(self.n, self.power, self.entries)
 
     def text(self) -> str:
         parts = [f"d^{self.power}"] if self.power else []

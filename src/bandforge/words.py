@@ -37,14 +37,6 @@ class BandLetter(NamedTuple):
     s: int
     sign: int
 
-    @staticmethod
-    def make(i: int, j: int, sign: int = 1) -> "BandLetter":
-        if i == j:
-            raise ValueError(f"band generator needs two distinct strands, got ({i},{j})")
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        return BandLetter(max(i, j), min(i, j), sign)
-
     def inverse(self) -> "BandLetter":
         return BandLetter(self.t, self.s, -self.sign)
 

@@ -172,6 +172,16 @@ def insert_cancellation(w: BraidWord, rng: random.Random) -> BraidWord:
     return BraidWord(w.n, w.letters[:pos] + chunk + w.letters[pos:])
 
 
+def counted(calls, name, fn):
+    """fn, counting each call under name in calls."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xBAD5EED)

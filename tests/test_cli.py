@@ -11,27 +11,19 @@ import pytest
 import bandforge.cli
 import bandforge.conjugacy
 import bandforge.fdtc
+import bandforge.normal_form
 import bandforge.positivity
 from bandforge.cli import run
 from bandforge.normal_form import lcf
 from bandforge.words import MAX_WORD_LETTERS, parse_word
 
 import summit_corpus
+from conftest import counted
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
 KNOT_7_2_POSITIVE = "a1 a1 b2 b1 a3"
 TWO_BAND_WORD = "a3 A1 A2 b2 b1 a1 b2 b1 a3"
-
-
-def counted(calls, name, fn):
-    """fn, counting each call under name in calls."""
-
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def capture(argv, expect_code=0):
@@ -161,9 +153,11 @@ class TestAnalysisCommands:
         # The 7_2 word reaches its summit (inf 0, so no enumeration) in
         # several cycling steps; none of them may expand a factor to letters.
         calls = Counter()
-        for name in ("factor_to_word", "BraidWord"):
-            original = getattr(bandforge.conjugacy, name)
-            monkeypatch.setattr(bandforge.conjugacy, name, counted(calls, name, original))
+        for module, name in (
+            (bandforge.conjugacy, "signed_word"),
+            (bandforge.normal_form, "factor_to_word"),
+        ):
+            monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
         summits = []
 
         def recorded(search):

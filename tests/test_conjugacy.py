@@ -1,10 +1,12 @@
 """Cycling, decycling, summit representatives, SSS enumeration, conjugacy."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandforge import conjugacy
+from bandforge import conjugacy, normal_form
 from bandforge.conjugacy import (
     BudgetExceededError,
     _keeps_inf,
@@ -23,10 +25,11 @@ from bandforge.normal_form import (
     lcf_to_word,
     left_multiply,
     right_multiply,
+    signed_word,
 )
 from bandforge.words import BraidWord, parse_word, permutation, writhe
 
-from conftest import random_braid_word, sparse_words, w4
+from conftest import counted, random_braid_word, sparse_words, w4
 from oracle import conjugate_ball_search
 from sss_reference import sss_enumerate_by_words, sss_enumerate_per_element
 
@@ -199,7 +202,25 @@ class TestSssEnumeration:
         sss_enumerate(data)
         base = lcf_to_word(data.representative)
         for element, path in data.sss_witnesses.items():
-            assert lcf(base.conjugated_by(path)) == element
+            assert lcf(base.conjugated_by(signed_word(base.n, 0, path))) == element
+
+    def test_closure_builds_no_words(self, monkeypatch):
+        # The closure stores signed-factor steps; no conjugator is spelled
+        # out as letters while the set is enumerated.
+        data = sss_representative(w4(KNOT_7_2_WORD))
+        calls = Counter()
+        for module, name in (
+            (conjugacy, "BraidWord"),
+            (conjugacy, "signed_word"),
+            (normal_form, "BraidWord"),
+            (normal_form, "factor_to_word"),
+        ):
+            inner = getattr(module, name)
+            monkeypatch.setattr(module, name, counted(calls, name, inner))
+        elements = sss_enumerate(data)
+        monkeypatch.undo()
+        assert calls == {} and len(elements) > 1
+        assert set(data.sss_witnesses) == elements
 
     def test_budget_guard(self):
         data = sss_representative(w4(KNOT_7_2_WORD))
@@ -251,7 +272,7 @@ class TestSssAgainstWordClosure:
         # Witnesses are not unique, so each is checked, not compared.
         base = lcf_to_word(data.representative)
         for element, path in data.sss_witnesses.items():
-            assert lcf(base.conjugated_by(path)) == element
+            assert lcf(base.conjugated_by(signed_word(base.n, 0, path))) == element
 
     @pytest.mark.parametrize("n, samples, max_len", [(3, 12, 8), (4, 12, 8), (5, 4, 6)])
     def test_seeded_words(self, n, samples, max_len, rng):

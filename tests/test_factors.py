@@ -1,13 +1,14 @@
 """Canonical factors: enumeration, words, sets, complement, order, meet, diamond, star."""
 
 import ast
+import copy
 import itertools
+import pickle
 import re
 
 import pytest
 
 from bandforge.factors import (
-    CanonicalFactor,
     catalan,
     complement,
     delta_factor,
@@ -139,19 +140,15 @@ class TestConstruction:
 class TestHashEquality:
     ALL = [f for n in range(1, 6) for f in enumerate_factors(n)]
 
-    def test_hash_is_the_field_hash(self):
-        for f in self.ALL:
-            assert hash(f) == hash(f._label)
-
     def test_equality(self):
         for f, g in itertools.product(self.ALL, repeat=2):
             assert (f == g) is (f is g)
             assert (f != g) is (f is not g)
 
-    def test_uninterned_copy_equal(self):
+    def test_copies_are_the_interned_factor(self):
         for f in self.ALL:
-            copy = CanonicalFactor(f.n, f._label, f._perm)
-            assert copy is not f and copy == f and hash(copy) == hash(f)
+            assert copy.copy(f) is f and copy.deepcopy(f) is f
+            assert pickle.loads(pickle.dumps(f)) is f
 
     def test_foreign_type_not_implemented(self):
         for f in self.ALL:

@@ -107,6 +107,22 @@ class TestReduce:
         with pytest.raises(ValueError):
             ReducedWord(4, 0, ((delta_factor(4), 1),))
 
+    def test_count_closed_form(self, rng):
+        # For inf < 0 the reduction trades min(-inf, k) entries.  tau keeps
+        # word length and the complement turns length L into n-1-L, so the
+        # count is -inf(n-1) minus the largest traded lengths, whichever
+        # longest entry each step picks.
+        for n in range(2, 9):
+            for _ in range(30):
+                factors = lcf(random_braid_word(n, rng.randint(0, 12), rng, neg=0.3)).factors
+                lengths = sorted((f.word_length for f in factors), reverse=True)
+                for inf in range(-len(factors) - 2, 0):
+                    form = LeftCanonicalForm(n, inf, factors)
+                    expected = -inf * (n - 1) - sum(lengths[: min(-inf, len(factors))])
+                    assert count_negative_bands(reduce(form)) == expected, form.text()
+                    rightmost = reduce(form, lambda candidates: candidates[-1])
+                    assert count_negative_bands(rightmost) == expected, form.text()
+
     def test_preserves_braid(self, rng):
         for _ in range(60):
             w = random_braid_word(4, rng.randint(0, 8), rng, neg=0.4)
