@@ -89,7 +89,7 @@ def _word(args, attr: str = "word"):
 def _cmd_lcf(args) -> tuple[dict, str]:
     form = lcf(_word(args))
     payload = form.to_json()
-    human = f"{form.text()}\nword: {lcf_to_word(form).render() or 'e'}"
+    human = f"{form.text()}\nword: {payload['word'] or 'e'}"
     return payload, human
 
 

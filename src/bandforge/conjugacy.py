@@ -7,14 +7,25 @@ For W = delta^r A_1 ... A_k in left canonical form:
     decycling  d(W) = delta^r tau^r(A_k) A_1 ... A_{k-1}
 
 Both are conjugations (by tau^-r(A_1) and A_k^-1 respectively) and both
-leave inf non-decreasing and sup non-increasing.  Iterating cycling until
-the orbit repeats without improvement maximizes inf over the conjugacy
-class; decycling minimizes sup.  The super summit set SSS is the set of
-conjugates of minimal canonical length; every element of it attains inf and
-sup of the class simultaneously, and the whole set is reachable from any
-one element by conjugating with single canonical factors and keeping the
-results that stay in the set (the standard convexity fact; imported here
-without reproof).
+leave inf non-decreasing and sup non-increasing.  How long to iterate them
+is fixed by the cycling theorem (Birman-Ko-Lee, Adv. Math. 139 (1998), for
+the band generators; for any Garside group in Birman-Gebhardt-
+Gonzalez-Meneses, Conjugacy in Garside groups I, Groups Geom. Dyn. 1
+(2007)).  With inf_s and sup_s the largest inf and the smallest sup over
+the conjugacy class, and ||delta|| = n - 1 the letter length of delta:
+
+    if inf(W) < inf_s, then inf(c^||delta||(W)) > inf(W);
+    if sup(W) > sup_s, then sup(d^||delta||(W)) < sup(W).
+
+So n - 1 cyclings in a row that leave inf unchanged end at inf_s, and then
+n - 1 decyclings in a row that leave sup unchanged end at sup_s; decycling
+never lowers inf, so the result attains both, and one pass of each suffices.
+
+The super summit set SSS is the set of conjugates of minimal canonical
+length; every element of it attains inf and sup of the class
+simultaneously, and the whole set is reachable from any one element by
+conjugating with single canonical factors and keeping the results that stay
+in the set (the standard convexity fact; imported here without reproof).
 
 The closure conjugates in factor space, never through words.  For a
 factor f with complement(f) = f^-1 delta, f^-1 = delta^-1 tau^-1(complement(f)),
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .factors import CanonicalFactor, complement, delta_factor, enumerate_factors, precedes, tau
 from .normal_form import (
@@ -116,16 +127,6 @@ def _decycling_step(form: LeftCanonicalForm) -> SignedFactor:
     return form.factors[-1], -1
 
 
-def cycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
-    """v with cycling(W) = lcf(v^-1 W v): the rotated first factor."""
-    return signed_word(form.n, 0, (_cycling_step(form),) if form.factors else ())
-
-
-def decycling_conjugator(form: LeftCanonicalForm) -> BraidWord:
-    """v with decycling(W) = lcf(v^-1 W v): the inverse of the last factor."""
-    return signed_word(form.n, 0, (_decycling_step(form),) if form.factors else ())
-
-
 @dataclass
 class SummitData:
     """A super summit representative plus (optionally) the enumerated set.
@@ -161,49 +162,29 @@ class SummitData:
         return signed_word(self.representative.n, 0, self.witness_steps)
 
 
-def _improvement_phase(
-    form: LeftCanonicalForm,
-    steps: list[SignedFactor],
-    operation: Callable[[LeftCanonicalForm], LeftCanonicalForm],
-    conjugating_step: Callable[[LeftCanonicalForm], SignedFactor],
-) -> LeftCanonicalForm:
-    """Iterate one operation until the orbit revisits a form with no gain.
-
-    Each step's conjugating (factor, sign) pair is appended to steps; no word
-    is built.  A repeat without an (inf, sup) improvement means further
-    iteration loops forever, and by the summit theorems the current value is
-    then optimal for this operation.  seen is keyed on the factor tuple
-    alone, which is exact: it is cleared whenever (power, sup) changes, so
-    every form in it has the same n and power, and two such forms are equal
-    exactly when their factors are.
-    """
-    seen: set[tuple[CanonicalFactor, ...]] = set()
-    while form.factors:
-        if form.factors in seen:
-            break
-        seen.add(form.factors)
-        before = (form.power, form.sup)
-        steps.append(conjugating_step(form))
-        form = operation(form)
-        if (form.power, form.sup) != before:
-            seen.clear()
-    return form
-
-
 def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
     """A conjugate attaining inf and sup of the conjugacy class simultaneously.
 
-    Accepts the word or its normal form, so a caller that already holds
-    lcf(w) does not recompute it.
+    Cycles until inf has not risen for n - 1 steps in a row, then decycles
+    until sup has not fallen for n - 1 steps in a row: by the cycling theorem
+    (module docstring) the first phase ends at inf_s and the second at sup_s,
+    and decycling keeps inf.  Accepts the word or its normal form, so a
+    caller that already holds lcf(w) does not recompute it.
     """
     form = w if isinstance(w, LeftCanonicalForm) else lcf(w)
     steps: list[SignedFactor] = []
-    while True:
-        before = (form.power, form.sup)
-        form = _improvement_phase(form, steps, cycling, _cycling_step)
-        form = _improvement_phase(form, steps, decycling, _decycling_step)
-        if (form.power, form.sup) == before:
-            break
+    idle = 0
+    while form.factors and idle < form.n - 1:
+        inf = form.power
+        steps.append(_cycling_step(form))
+        form = cycling(form)
+        idle = idle + 1 if form.power == inf else 0
+    idle = 0
+    while form.factors and idle < form.n - 1:
+        sup = form.sup
+        steps.append(_decycling_step(form))
+        form = decycling(form)
+        idle = idle + 1 if form.sup == sup else 0
     return SummitData(form, tuple(steps))
 
 

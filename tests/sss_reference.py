@@ -1,4 +1,12 @@
-"""Super summit closures kept as differential references.
+"""Summit searches and super summit closures kept as differential references.
+
+The library's summit search stops each phase after n - 1 steps without a
+gain, by the cycling theorem.  The search it replaced stays here:
+
+- sss_representative_by_orbit iterates cycling, then decycling, until the
+  orbit revisits a form with no (inf, sup) gain, and repeats both phases
+  until a round gains nothing.  It needs no bound on how long a gain can
+  take, so it checks the bound the library relies on.
 
 The library closes the super summit set in factor space, one element per
 tau-orbit, and rejects a conjugator on inf after the right multiplication.
@@ -15,7 +23,14 @@ references keep none, and tests re-check the library's by lcf.
 
 from __future__ import annotations
 
-from bandforge.conjugacy import BudgetExceededError, SummitData
+from bandforge.conjugacy import (
+    BudgetExceededError,
+    SummitData,
+    _cycling_step,
+    _decycling_step,
+    cycling,
+    decycling,
+)
 from bandforge.factors import complement, enumerate_factors, factor_to_word
 from bandforge.normal_form import (
     LeftCanonicalForm,
@@ -24,6 +39,40 @@ from bandforge.normal_form import (
     left_multiply,
     right_multiply,
 )
+from bandforge.words import BraidWord
+
+
+def _orbit_phase(form, steps, operation, conjugating_step) -> LeftCanonicalForm:
+    """Iterate one operation until the orbit revisits a form with no gain.
+
+    seen is keyed on the factor tuple alone, which is exact: it is cleared
+    whenever (power, sup) changes, so every form in it has the same n and
+    power, and two such forms are equal exactly when their factors are.
+    """
+    seen = set()
+    while form.factors:
+        if form.factors in seen:
+            break
+        seen.add(form.factors)
+        before = (form.power, form.sup)
+        steps.append(conjugating_step(form))
+        form = operation(form)
+        if (form.power, form.sup) != before:
+            seen.clear()
+    return form
+
+
+def sss_representative_by_orbit(w: BraidWord) -> SummitData:
+    """A super summit element by the orbit-repeat search, with its witness steps."""
+    form = lcf(w)
+    steps = []
+    while True:
+        before = (form.power, form.sup)
+        form = _orbit_phase(form, steps, cycling, _cycling_step)
+        form = _orbit_phase(form, steps, decycling, _decycling_step)
+        if (form.power, form.sup) == before:
+            break
+    return SummitData(form, tuple(steps))
 
 
 def sss_enumerate_by_words(data: SummitData, limit: int = 100_000) -> frozenset[LeftCanonicalForm]:
