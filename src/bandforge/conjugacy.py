@@ -56,20 +56,24 @@ Conjugation convention: conjugate(w, v) = v^-1 w v.  Every conjugator is
 held as signed-factor steps that compose left to right along the search
 path: (f, 1) for f and (f, -1) for f^-1.  The summit search records one step
 per cycling or decycling step; the closure records (f, 1) per conjugating
-factor and (delta, 1) per tau-shift.  No word is built until a witness is
-read, and then normal_form.signed_word spells the steps out as letters.
+factor and (delta, 1) per tau-shift.  Where steps are gathered or joined,
+an adjacent pair (f, s)(f, -s) cancels (normal_form.cancel_inverse_pairs):
+the last idle cyclings are often undone by the first decyclings.  No word is
+built until a witness is read, and then normal_form.signed_word spells the
+steps out as letters.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .factors import CanonicalFactor, complement, delta_factor, enumerate_factors, precedes, tau
 from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
+    cancel_inverse_pairs,
     lcf,
     left_multiply,
     right_multiply,
@@ -132,7 +136,8 @@ class SummitData:
     """A super summit representative plus (optionally) the enumerated set.
 
     witness_steps is the conjugator from the original word to the
-    representative, one (factor, sign) step per cycling or decycling step.
+    representative, one (factor, sign) step per cycling or decycling step
+    less the adjacent inverse pairs, which cancel.
     sss_witnesses maps each enumerated element to the steps of a conjugator
     from the representative: (f, 1) per conjugating factor and (delta, 1)
     per tau-shift.  Those conjugators are not unique: an element reached
@@ -185,7 +190,7 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
         steps.append(_decycling_step(form))
         form = decycling(form)
         idle = idle + 1 if form.sup == sup else 0
-    return SummitData(form, tuple(steps))
+    return SummitData(form, cancel_inverse_pairs(steps))
 
 
 def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bool:
@@ -195,21 +200,19 @@ def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bo
     return precedes(shifted, right.factors[0]) if right.factors else shifted.is_identity
 
 
-def sss_enumerate(
-    data: SummitData, budget: Optional[int] = None
-) -> frozenset[LeftCanonicalForm]:
-    """Close the representative under canonical-factor conjugation.
+def _sss_walk(
+    data: SummitData, budget: Optional[int]
+) -> Iterator[tuple[LeftCanonicalForm, tuple[SignedFactor, ...]]]:
+    """Yield each super summit element, with its steps from the representative, as it joins.
 
-    Keeps exactly the conjugates with (inf, sup) = (inf_conj, sup_conj); the
-    closure is the full super summit set, independent of the representative.
-    Each new element Y enters with its tau-orbit, tau^k(Y) with the steps of
-    Y followed by k steps (delta, 1), and only Y is expanded.  A conjugator f
-    is rejected on inf after right_multiply(W, f) alone: f^-1 W f keeps inf p
-    iff a delta formed or tau^p(f) precedes the first factor of W f (see the
-    module docstring for the derivation).
+    The representative comes first, before any conjugation, so a caller that
+    stops there does no closure work.  Each new element Y joins with its
+    tau-orbit, tau^k(Y) with the steps of Y followed by k steps (delta, 1),
+    and only Y is expanded.  A conjugator f is rejected on inf after
+    right_multiply(W, f) alone: f^-1 W f keeps inf p iff a delta formed or
+    tau^p(f) precedes the first factor of W f (see the module docstring for
+    the derivation).  The budget is checked before the first element.
     """
-    if data.sss is not None:
-        return data.sss
     limit = default_budget() if budget is None else budget
     if limit < 1:
         source = BUDGET_ENV_VAR if budget is None else "budget"
@@ -218,28 +221,28 @@ def sss_enumerate(
     p = data.inf_conj
     target = (p, data.sup_conj)
     delta = (delta_factor(n), 1)
+    seen: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = {}
+
+    def join_orbit(y: LeftCanonicalForm, path: tuple[SignedFactor, ...]):
+        x = y
+        while True:
+            if len(seen) >= limit:
+                raise BudgetExceededError(len(seen), limit)
+            seen[x] = path
+            yield x, path
+            x = LeftCanonicalForm(n, p, tuple([tau(a) for a in x.factors]))
+            if x == y:
+                return
+            path += (delta,)
+
+    yield from join_orbit(data.representative, ())
     conjugators = [
         (f, complement(f), tau(f, p)) for f in enumerate_factors(n) if not f.is_identity
     ]
-    witnesses: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = {}
-    queue: list[LeftCanonicalForm] = []
-
-    def add_orbit(y: LeftCanonicalForm, path: tuple[SignedFactor, ...]) -> None:
-        x = y
-        while True:
-            if len(witnesses) >= limit:
-                raise BudgetExceededError(len(witnesses), limit)
-            witnesses[x] = path
-            x = LeftCanonicalForm(n, p, tuple([tau(a) for a in x.factors]))
-            if x == y:
-                break
-            path += (delta,)
-        queue.append(y)
-
-    add_orbit(data.representative, ())
+    queue = [data.representative]
     while queue:
         current = queue.pop()
-        base_path = witnesses[current]
+        base_path = seen[current]
         for f, f_complement, f_shifted in conjugators:
             right = right_multiply(current, f)
             if not _keeps_inf(right, f_shifted, p):
@@ -248,11 +251,24 @@ def sss_enumerate(
             candidate = left_multiply(
                 f_complement, LeftCanonicalForm(n, right.power - 1, right.factors)
             )
-            if (candidate.power, candidate.sup) != target or candidate in witnesses:
+            if (candidate.power, candidate.sup) != target or candidate in seen:
                 continue
-            add_orbit(candidate, base_path + ((f, 1),))
-    data.sss = frozenset(witnesses)
-    data.sss_witnesses = witnesses
+            yield from join_orbit(candidate, base_path + ((f, 1),))
+            queue.append(candidate)
+
+
+def sss_enumerate(
+    data: SummitData, budget: Optional[int] = None
+) -> frozenset[LeftCanonicalForm]:
+    """Close the representative under canonical-factor conjugation.
+
+    Keeps exactly the conjugates with (inf, sup) = (inf_conj, sup_conj); the
+    closure is the full super summit set, independent of the representative.
+    Drains _sss_walk and records each element's steps in data.sss_witnesses.
+    """
+    if data.sss is None:
+        data.sss_witnesses = dict(_sss_walk(data, budget))
+        data.sss = frozenset(data.sss_witnesses)
     return data.sss
 
 
@@ -285,7 +301,9 @@ def are_conjugate(
     sss1 = sss_enumerate(rep1, budget)
     if rep2.representative in sss1:
         back = tuple((f, -sign) for f, sign in reversed(rep2.witness_steps))
-        steps = rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
+        steps = cancel_inverse_pairs(
+            rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
+        )
         return ConjugacyResult(True, signed_word(w1.n, 0, steps), len(sss1), len(sss1))
     size2 = len(sss_enumerate(rep2, budget))
     return ConjugacyResult(False, None, len(sss1), size2)

@@ -7,6 +7,16 @@ quasipositive (ASQP) allows one negative band and forces inf >= -1, with
 inf = -1 in the strict case; the converse needs the super summit criterion
 implemented in is_conj_strictly_asqp.
 
+That criterion asks for one super summit element x = delta^-1 A_1 ... A_k
+with a factor A_j of word length n-2.  Its complement is a single band b,
+and delta^-1 A_1 ... A_j = tau(A_1 ... A_{j-1}) b^-1, so
+x = tau(A_1 ... A_{j-1}) b^-1 A_{j+1} ... A_k has exactly one negative band:
+a qualifying element certifies the class at every n.  The test walks the
+set from the summit representative and stops at the first element that
+qualifies, which is usually the representative itself.  For n <= 4 the
+criterion is also necessary, so a False verdict is definitive there; for
+n >= 5 it is inconclusive.
+
 nb(beta) is the minimal number of negative bands over all band words.  The
 reduction operation trades each leading delta^-1 against a maximal-length
 positive entry, replacing it by the inverse of its complement; the terminal
@@ -22,9 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .conjugacy import SummitData, sss_enumerate, sss_representative
+from .conjugacy import SummitData, _sss_walk, sss_representative
 from .factors import complement, tau
-from .normal_form import LeftCanonicalForm, SignedFactor, lcf, signed_word
+from .normal_form import (
+    LeftCanonicalForm,
+    SignedFactor,
+    cancel_inverse_pairs,
+    lcf,
+    signed_word,
+)
 from .words import BraidWord
 
 
@@ -187,17 +203,41 @@ def nb_conjugacy_report(w: BraidWord) -> NbReport:
 
 
 @dataclass(frozen=True)
+class AsqpCertificate:
+    """Proof that a braid beta is conjugate to a braid with one negative band.
+
+    conjugator_steps spell v, and form spells a word x with exactly one
+    negative letter, such that lcf(v^-1 beta v) = lcf(x).  Both stay signed
+    factors until read: conjugator and word spell them through signed_word.
+    """
+
+    conjugator_steps: tuple[SignedFactor, ...]
+    form: ReducedWord
+
+    @property
+    def conjugator(self) -> BraidWord:
+        return signed_word(self.form.n, 0, self.conjugator_steps)
+
+    @property
+    def word(self) -> BraidWord:
+        return self.form.to_word()
+
+
+@dataclass(frozen=True)
 class StrictAsqpVerdict:
     """Outcome of the strictly-ASQP conjugacy test.
 
-    holds: the summit criterion (every element has inf = -1 and a factor of
-    word length n-2).  definitive: for n <= 4 the criterion is equivalent to
-    being conjugate to a strictly ASQP braid; for n >= 5 it is only
-    sufficient, so a False verdict is inconclusive.
+    holds: some super summit element x = delta^-1 A_1 ... A_k has a factor
+    A_j of word length n-2.  Then complement(A_j) is one band b, and
+    x = tau(A_1 ... A_{j-1}) b^-1 A_{j+1} ... A_k has exactly one negative
+    band, so holding is definitive at every n and comes with the
+    certificate.  For n <= 4 the criterion is also necessary, so False is
+    definitive too; for n >= 5 a False verdict is inconclusive.
     """
 
     holds: bool
     definitive: bool
+    certificate: Optional[AsqpCertificate] = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -209,12 +249,13 @@ def is_conj_strictly_asqp(w: BraidWord, budget: Optional[int] = None) -> StrictA
 
 
 def _strictly_asqp_verdict(data: SummitData, budget: Optional[int]) -> StrictAsqpVerdict:
+    """Walk the super summit set from the representative; stop at the first element that qualifies."""
     n = data.representative.n
-    if data.inf_conj != -1:
-        return StrictAsqpVerdict(False, n <= 4)
-    target = n - 2
-    holds = all(
-        any(f.word_length == target for f in element.factors)
-        for element in sss_enumerate(data, budget)
-    )
-    return StrictAsqpVerdict(holds, n <= 4 or holds)
+    if data.inf_conj == -1:
+        for element, steps in _sss_walk(data, budget):
+            if any(f.word_length == n - 2 for f in element.factors):
+                # The factors of length n - 2 are the longest ones, so reduce
+                # makes the one trade at the leftmost of them.
+                conjugator = cancel_inverse_pairs(data.witness_steps + steps)
+                return StrictAsqpVerdict(True, True, AsqpCertificate(conjugator, reduce(element)))
+    return StrictAsqpVerdict(False, n <= 4)

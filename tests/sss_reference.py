@@ -19,6 +19,13 @@ Two closures it replaced stay here:
 
 All three must agree on the set.  Witnesses are not unique, so the
 references keep none, and tests re-check the library's by lcf.
+
+The library's strictly-ASQP test stops at the first super summit element
+with a factor of word length n - 2.  The rule it replaced stays here:
+
+- strictly_asqp_by_all enumerates the whole set and holds only when every
+  element qualifies.  For n <= 4 the two rules must agree; for n >= 5 a
+  True of this rule must stay True.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from bandforge.conjugacy import (
     _decycling_step,
     cycling,
     decycling,
+    sss_enumerate,
 )
 from bandforge.factors import complement, enumerate_factors, factor_to_word
 from bandforge.normal_form import (
@@ -39,6 +47,7 @@ from bandforge.normal_form import (
     left_multiply,
     right_multiply,
 )
+from bandforge.positivity import StrictAsqpVerdict
 from bandforge.words import BraidWord
 
 
@@ -113,3 +122,14 @@ def sss_enumerate_per_element(data: SummitData) -> frozenset[LeftCanonicalForm]:
                 seen.add(candidate)
                 queue.append(candidate)
     return frozenset(seen)
+
+
+def strictly_asqp_by_all(data: SummitData) -> StrictAsqpVerdict:
+    """The summit criterion over the whole set: every element has inf = -1 and a factor of length n - 2."""
+    n = data.representative.n
+    if data.inf_conj != -1:
+        return StrictAsqpVerdict(False, n <= 4)
+    holds = all(
+        any(f.word_length == n - 2 for f in element.factors) for element in sss_enumerate(data)
+    )
+    return StrictAsqpVerdict(holds, n <= 4 or holds)

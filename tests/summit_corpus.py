@@ -13,6 +13,8 @@ change on the summit path shows any byte of output it moves, witnesses
 included.  After a change that is meant to move output, regenerate it with
 
     PYTHONPATH=src python tests/summit_corpus.py
+
+which prints each (case, label) whose digest moved, one a line.
 """
 
 from __future__ import annotations
@@ -85,8 +87,14 @@ def digests(index: int) -> dict[str, str]:
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else []
     records = [
         {"n": n, "word": word, "v": v, "digests": digests(i)}
         for i, (n, word, v) in enumerate(CASES)
     ]
+    for i, record in enumerate(records):
+        before = old[i]["digests"] if i < len(old) else {}
+        for label, digest in record["digests"].items():
+            if before.get(label) != digest:
+                print(f"{i}\t{label}")
     DIGESTS.write_text(json.dumps(records, indent=2) + "\n")

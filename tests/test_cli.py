@@ -18,7 +18,7 @@ from bandforge.normal_form import lcf
 from bandforge.words import MAX_WORD_LETTERS, parse_word
 
 import summit_corpus
-from conftest import counted
+from conftest import counted, w4
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
@@ -177,6 +177,27 @@ class TestAnalysisCommands:
         w = parse_word(KNOT_7_2_WORD, 4)
         assert lcf(w.conjugated_by(summit.witness)) == summit.representative
 
+    def test_qualifying_representative_builds_no_closure(self, monkeypatch):
+        # A1's summit representative has a factor of length n - 2, which
+        # settles conj_strictly_asqp; its super summit set has more
+        # elements, and none may be conjugated into.
+        calls = Counter()
+        search = bandforge.cli.sss_representative
+
+        def search_then_count(w):
+            data = search(w)
+            for name in ("right_multiply", "left_multiply"):
+                counter = counted(calls, name, getattr(bandforge.conjugacy, name))
+                monkeypatch.setattr(bandforge.conjugacy, name, counter)
+            return data
+
+        monkeypatch.setattr(bandforge.cli, "sss_representative", search_then_count)
+        data = json.loads(capture(["classify", "-n", "4", "A1", "--json"]))
+        assert data["conj_strictly_asqp"] is True
+        assert calls == {}
+        monkeypatch.undo()
+        assert len(bandforge.conjugacy.sss_enumerate(search(w4("A1")))) > 1
+
     def test_fdtc(self):
         data = json.loads(capture(["fdtc", "-n", "4", "d a1", "--json"]))
         assert data == {"lower": "1/4", "upper": "1/2", "exact": None}
@@ -257,6 +278,12 @@ class TestExitCodes:
     def test_budget_below_one(self, argv, budget, capsys):
         capture(argv + ["--budget", budget], expect_code=1)
         assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
+
+    def test_budget_one_when_representative_qualifies(self):
+        # The representative is the first element the walk yields, so a
+        # budget of one settles a class whose representative qualifies.
+        out = capture(["classify", "-n", "4", "A1", "--budget", "1", "--json"])
+        assert json.loads(out)["conj_strictly_asqp"] is True
 
     @pytest.mark.parametrize("command", ["nb", "fdtc"])
     def test_budget_not_offered(self, command, capsys):

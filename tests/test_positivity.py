@@ -1,12 +1,15 @@
 """SQP/ASQP detection, reduction, and negative band number bounds."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bandforge import positivity
+from bandforge.conjugacy import sss_enumerate, sss_representative
 from bandforge.factors import gen_factor
 from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_to_word
 from bandforge.positivity import (
@@ -28,9 +31,11 @@ from conftest import (
     insert_cancellation,
     insert_relator,
     random_braid_word,
+    random_letters,
     sparse_words,
     w4,
 )
+from sss_reference import strictly_asqp_by_all
 
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
 KNOT_7_2_POSITIVE = "a1 a1 b2 b1 a3"
@@ -347,6 +352,59 @@ class TestStrictlyAsqp:
             found += 1
             assert is_conj_strictly_asqp(candidate).holds
         assert found >= 5
+
+
+class TestStrictlyAsqpAgainstAllRule:
+    """The first-qualifying-element walk against the every-element rule it replaced.
+
+    Seeded words of 6-12 letters with 1-2 negative letters, kept when
+    inf_s = -1 (SAMPLES of them at each n).  For n <= 4 the verdicts must be
+    equal; for n >= 5 a True of the reference must stay True, and at n = 5-6
+    the walk certifies words that the reference cannot.  Every certificate
+    is re-checked: its conjugator takes the word to lcf of its one-band
+    word, which has exactly one negative letter and is a super summit element.
+    """
+
+    SAMPLES = {3: 40, 4: 60, 5: 30, 6: 15}
+
+    @classmethod
+    def corpus(cls):
+        rng = random.Random(20261019)
+        for n, count in cls.SAMPLES.items():
+            kept = 0
+            while kept < count:
+                letters = list(random_letters(n, rng.randint(6, 12), rng))
+                for i in rng.sample(range(len(letters)), rng.randint(1, 2)):
+                    letters[i] = letters[i].inverse()
+                w = BraidWord(n, tuple(letters))
+                if sss_representative(w).inf_conj == -1:
+                    kept += 1
+                    yield w
+
+    def test_seeded_corpus(self):
+        gains = Counter()
+        for w in self.corpus():
+            verdict = is_conj_strictly_asqp(w)
+            data = sss_representative(w)
+            reference = strictly_asqp_by_all(data)
+            if w.n <= 4:
+                assert (verdict.holds, verdict.definitive) == (
+                    reference.holds,
+                    reference.definitive,
+                ), w.render()
+            else:
+                assert verdict.holds or not reference.holds, w.render()
+                assert verdict.definitive == verdict.holds, w.render()
+                gains[w.n] += verdict.holds and not reference.holds
+            if verdict.holds:
+                certificate = verdict.certificate
+                x = lcf(certificate.word)
+                assert lcf(w.conjugated_by(certificate.conjugator)) == x, w.render()
+                assert count_negative_bands(certificate.word) == 1, w.render()
+                assert x in sss_enumerate(data), w.render()
+            else:
+                assert verdict.certificate is None
+        assert gains[5] > 0 and gains[6] > 0
 
 
 class TestNbProperties:
