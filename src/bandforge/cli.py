@@ -17,6 +17,7 @@ from typing import Optional
 from .conjugacy import (
     BudgetExceededError,
     are_conjugate,
+    resolve_budget,
     sss_enumerate,
     sss_representative,
 )
@@ -129,8 +130,10 @@ def _cmd_conjugate(args) -> tuple[dict, str]:
 
 def _cmd_classify(args) -> tuple[dict, str]:
     form = lcf(_word(args))
+    # Checked for every word: the walk that reads the budget runs only when inf_s = -1.
+    budget = resolve_budget(args.budget)
     summit = sss_representative(form)
-    verdict = _strictly_asqp_verdict(summit, args.budget)
+    verdict = _strictly_asqp_verdict(summit, budget)
     payload = {
         "sqp": form.inf >= 0,
         "conj_sqp": summit.inf_conj >= 0,

@@ -37,7 +37,7 @@ Cycling and decycling are one multiplication each, of the normal form
 delta^r A_2 ... A_k by tau^-r(A_1) on the right, and of delta^r A_1 ... A_{k-1}
 by A_k on the left.
 
-Two exact facts keep the closure small:
+Three exact facts keep the closure small:
 
 - tau-orbits.  tau(X)^tau(f) = tau(X^f), and the SSS is closed under tau
   (conjugation by delta).  So a new element's whole orbit tau^k(Y),
@@ -51,6 +51,16 @@ Two exact facts keep the closure small:
   inf(f^-1 W f) >= p exactly when a delta formed (right.power > p) or
   tau^p(f) precedes right's first factor; any other f is rejected before
   the left multiplication.
+- Minimal conjugators.  Call f a keeper of X when X^f is in the SSS.
+  Delta is never tried: X^delta = tau(X) is in the orbit that joined with X.
+  The other factors are tried shortest first (enumerate_factors order), and
+  f is skipped when a keeper g of X found before it satisfies g < f.  No
+  element is lost: h = g^-1 f is a simple element shorter than f, and
+  X^f = (X^g)^h, so h keeps X^g, which is in the set; by induction on word
+  length, with the tau-orbit rule for the elements not expanded, X^f is
+  reached through X^g.  Atoms have no factor below them and are always
+  tried.  This is the exact part of the minimal simple conjugators of
+  Franco and Gonzalez-Meneses (J. Algebra 266 (2003)); no join is computed.
 
 Conjugation convention: conjugate(w, v) = v^-1 w v.  Every conjugator is
 held as signed-factor steps that compose left to right along the search
@@ -60,7 +70,8 @@ factor and (delta, 1) per tau-shift.  Where steps are gathered or joined,
 an adjacent pair (f, s)(f, -s) cancels (normal_form.cancel_inverse_pairs):
 the last idle cyclings are often undone by the first decyclings.  No word is
 built until a witness is read, and then normal_form.signed_word spells the
-steps out as letters.
+steps out as letters and the word is freely reduced: a letter and its
+inverse can still meet where the words of two different steps join.
 """
 
 from __future__ import annotations
@@ -103,6 +114,15 @@ def default_budget() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def resolve_budget(budget: Optional[int]) -> int:
+    """The element budget to enforce: budget, or default_budget() when None; below 1 is a ValueError."""
+    limit = default_budget() if budget is None else budget
+    if limit < 1:
+        source = BUDGET_ENV_VAR if budget is None else "budget"
+        raise ValueError(f"{source} must be at least 1, got {limit}")
+    return limit
 
 
 def cycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
@@ -163,8 +183,8 @@ class SummitData:
 
     @property
     def witness(self) -> BraidWord:
-        """v with lcf(v^-1 w v) = representative for the original word w."""
-        return signed_word(self.representative.n, 0, self.witness_steps)
+        """v with lcf(v^-1 w v) = representative for the original word w, freely reduced."""
+        return signed_word(self.representative.n, 0, self.witness_steps).freely_reduced()
 
 
 def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
@@ -211,12 +231,11 @@ def _sss_walk(
     and only Y is expanded.  A conjugator f is rejected on inf after
     right_multiply(W, f) alone: f^-1 W f keeps inf p iff a delta formed or
     tau^p(f) precedes the first factor of W f (see the module docstring for
-    the derivation).  The budget is checked before the first element.
+    the derivation).  Delta is not tried, and a factor above a keeper of
+    the node found earlier is skipped (the minimal-conjugator rule in the
+    module docstring).  The budget is checked before the first element.
     """
-    limit = default_budget() if budget is None else budget
-    if limit < 1:
-        source = BUDGET_ENV_VAR if budget is None else "budget"
-        raise ValueError(f"{source} must be at least 1, got {limit}")
+    limit = resolve_budget(budget)
     n = data.representative.n
     p = data.inf_conj
     target = (p, data.sup_conj)
@@ -236,14 +255,23 @@ def _sss_walk(
             path += (delta,)
 
     yield from join_orbit(data.representative, ())
+    # Shortest first (enumerate_factors order), so every factor below f comes before it.
     conjugators = [
-        (f, complement(f), tau(f, p)) for f in enumerate_factors(n) if not f.is_identity
+        (f, complement(f), tau(f, p))
+        for f in enumerate_factors(n)
+        if not (f.is_identity or f.is_delta)
     ]
+    # above[g]: the conjugators that g precedes, built when g first keeps a node.
+    above: dict[CanonicalFactor, list[CanonicalFactor]] = {}
     queue = [data.representative]
     while queue:
         current = queue.pop()
         base_path = seen[current]
+        # The conjugators above a keeper of current: each is skipped.
+        blocked: set[CanonicalFactor] = set()
         for f, f_complement, f_shifted in conjugators:
+            if f in blocked:
+                continue
             right = right_multiply(current, f)
             if not _keeps_inf(right, f_shifted, p):
                 continue
@@ -251,7 +279,12 @@ def _sss_walk(
             candidate = left_multiply(
                 f_complement, LeftCanonicalForm(n, right.power - 1, right.factors)
             )
-            if (candidate.power, candidate.sup) != target or candidate in seen:
+            if (candidate.power, candidate.sup) != target:
+                continue
+            if f not in above:
+                above[f] = [h for h, _, _ in conjugators if precedes(f, h)]
+            blocked.update(above[f])
+            if candidate in seen:
                 continue
             yield from join_orbit(candidate, base_path + ((f, 1),))
             queue.append(candidate)
@@ -285,7 +318,7 @@ def are_conjugate(
 ) -> ConjugacyResult:
     """Decide conjugacy by intersecting super summit sets; with witness.
 
-    The witness v satisfies lcf(v^-1 w1 v) = lcf(w2).
+    The witness v, freely reduced, satisfies lcf(v^-1 w1 v) = lcf(w2).
     """
     if w1.n != w2.n:
         raise ValueError(f"mismatched strand counts {w1.n} and {w2.n}")
@@ -304,6 +337,7 @@ def are_conjugate(
         steps = cancel_inverse_pairs(
             rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
         )
-        return ConjugacyResult(True, signed_word(w1.n, 0, steps), len(sss1), len(sss1))
+        witness = signed_word(w1.n, 0, steps).freely_reduced()
+        return ConjugacyResult(True, witness, len(sss1), len(sss1))
     size2 = len(sss_enumerate(rep2, budget))
     return ConjugacyResult(False, None, len(sss1), size2)

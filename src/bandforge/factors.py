@@ -28,8 +28,8 @@ Factors are interned by their label array, one object per array, so two
 factors are equal exactly when they are the same object, and they hash by
 identity.  A result is looked up first; only a new one is checked to be
 non-crossing, by one stack scan over 1..n.  Everything here is a pure
-function of immutable values; complements and rotations are also cached in
-module-level memo tables.
+function of immutable values; complements, rotations and the prefix order
+are also cached in module-level memo tables.
 """
 
 from __future__ import annotations
@@ -262,12 +262,17 @@ def complement(a: CanonicalFactor) -> CanonicalFactor:
     return _from_perm(n, (0, inv[n], *inv[1:n]))
 
 
+@lru_cache(maxsize=1 << 16)
 def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
-    """The prefix order A < B: every block of A lies inside a block of B."""
+    """The prefix order A < B: every block of A lies inside a block of B.
+
+    k and its label la[k] share a block of A, so A < B exactly when
+    lb[la[k]] = lb[k] for every k: one pass of lb over A's labels.
+    """
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
     lb = b._label
-    return all(lb[k] == lb[x] for k, x in enumerate(a._label))
+    return tuple(map(lb.__getitem__, a._label)) == lb
 
 
 def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:

@@ -208,7 +208,8 @@ class AsqpCertificate:
 
     conjugator_steps spell v, and form spells a word x with exactly one
     negative letter, such that lcf(v^-1 beta v) = lcf(x).  Both stay signed
-    factors until read: conjugator and word spell them through signed_word.
+    factors until read: conjugator and word spell them through signed_word,
+    and the conjugator's letters are then freely reduced.
     """
 
     conjugator_steps: tuple[SignedFactor, ...]
@@ -216,7 +217,7 @@ class AsqpCertificate:
 
     @property
     def conjugator(self) -> BraidWord:
-        return signed_word(self.form.n, 0, self.conjugator_steps)
+        return signed_word(self.form.n, 0, self.conjugator_steps).freely_reduced()
 
     @property
     def word(self) -> BraidWord:

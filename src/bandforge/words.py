@@ -89,6 +89,16 @@ class BraidWord:
         """The word v^-1 * self * v."""
         return v.inverse() * self * v
 
+    def freely_reduced(self) -> "BraidWord":
+        """The word with every adjacent letter and its inverse removed, repeatedly."""
+        out: list[BandLetter] = []
+        for letter in self.letters:
+            if out and out[-1] == letter.inverse():
+                out.pop()
+            else:
+                out.append(letter)
+        return BraidWord(self.n, tuple(out))
+
     def is_positive(self) -> bool:
         return all(l.sign > 0 for l in self.letters)
 

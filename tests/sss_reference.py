@@ -20,6 +20,16 @@ Two closures it replaced stay here:
 All three must agree on the set.  Witnesses are not unique, so the
 references keep none, and tests re-check the library's by lcf.
 
+The library also tries only minimal conjugators at each node: never delta,
+and no factor above a keeper of the node (a factor f with X^f in the set).
+The rule is checked node by node against an exhaustive count:
+
+- conjugators_tried conjugates X by every factor other than e and delta,
+  collects all the keepers, and returns the factors that no keeper lies
+  strictly below, by block containment.  A keeper below f that the library
+  skipped has a tried keeper below it in turn, so these are exactly the
+  factors the library tries, in enumerate_factors order.
+
 The library's strictly-ASQP test stops at the first super summit element
 with a factor of word length n - 2.  The rule it replaced stays here:
 
@@ -39,7 +49,7 @@ from bandforge.conjugacy import (
     decycling,
     sss_enumerate,
 )
-from bandforge.factors import complement, enumerate_factors, factor_to_word
+from bandforge.factors import CanonicalFactor, complement, enumerate_factors, factor_to_word
 from bandforge.normal_form import (
     LeftCanonicalForm,
     lcf,
@@ -49,6 +59,8 @@ from bandforge.normal_form import (
 )
 from bandforge.positivity import StrictAsqpVerdict
 from bandforge.words import BraidWord
+
+from transfer_reference import reference_precedes
 
 
 def _orbit_phase(form, steps, operation, conjugating_step) -> LeftCanonicalForm:
@@ -122,6 +134,19 @@ def sss_enumerate_per_element(data: SummitData) -> frozenset[LeftCanonicalForm]:
                 seen.add(candidate)
                 queue.append(candidate)
     return frozenset(seen)
+
+
+def conjugators_tried(form: LeftCanonicalForm, target: tuple[int, int]) -> list[CanonicalFactor]:
+    """The factors a node tries under the minimal-conjugator rule, from all its keepers."""
+    n = form.n
+    keepers = []
+    factors = [f for f in enumerate_factors(n) if not (f.is_identity or f.is_delta)]
+    for f in factors:
+        right = right_multiply(form, f)
+        candidate = left_multiply(complement(f), LeftCanonicalForm(n, right.power - 1, right.factors))
+        if (candidate.power, candidate.sup) == target:
+            keepers.append(f)
+    return [f for f in factors if not any(g is not f and reference_precedes(g, f) for g in keepers)]
 
 
 def strictly_asqp_by_all(data: SummitData) -> StrictAsqpVerdict:

@@ -38,6 +38,7 @@ from transfer_reference import (
 
 fresh_complement = complement.__wrapped__
 fresh_tau = _tau_shift.__wrapped__
+fresh_precedes = precedes.__wrapped__
 
 
 def _assert_arrays(f):
@@ -77,7 +78,9 @@ def _assert_pair(a, b):
     m = meet(a, b)
     assert m is reference_meet(a, b), (a.text(), b.text())
     _assert_arrays(m)
-    assert precedes(a, b) == reference_precedes(a, b), (a.text(), b.text())
+    expected = reference_precedes(a, b)
+    assert fresh_precedes(a, b) is expected, (a.text(), b.text())
+    assert precedes(a, b) is expected, (a.text(), b.text())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -87,6 +90,14 @@ def test_all_factors_and_pairs(n):
         _assert_single(a)
         for b in factors:
             _assert_pair(a, b)
+
+
+def test_precedes_memo_is_bounded():
+    # The closure asks the same few pairs again and again; the memo must not grow without bound.
+    assert precedes.cache_info().maxsize is not None
+    for check in (fresh_precedes, precedes):
+        with pytest.raises(ValueError, match="mismatched strand counts 3 and 4"):
+            check(enumerate_factors(3)[1], enumerate_factors(4)[1])
 
 
 @pytest.mark.parametrize("n", [12, 16])

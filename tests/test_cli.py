@@ -272,6 +272,8 @@ class TestExitCodes:
             ["sss", "-n", "4", "a1", "--enumerate"],
             ["conjugate", "-n", "4", "a1", "a2"],
             ["classify", "-n", "4", "A1"],
+            # inf_s = 0: no summit walk, but the budget is still checked.
+            ["classify", "-n", "4", "a1"],
         ],
     )
     @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -302,6 +304,13 @@ class TestExitCodes:
         monkeypatch.setenv("BANDFORGE_BUDGET", raw)
         capture(["sss", "-n", "4", "a1", "--enumerate"], expect_code=1)
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["a1", "a1 a3", "A1", "A1 A3"])
+    def test_classify_checks_the_budget_variable(self, word, monkeypatch, capsys):
+        # Whatever inf_s the class has, a bad budget is a user error.
+        monkeypatch.setenv("BANDFORGE_BUDGET", "0")
+        capture(["classify", "-n", "4", word], expect_code=1)
+        assert "BANDFORGE_BUDGET must be at least 1, got 0" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.json"

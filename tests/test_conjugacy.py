@@ -34,6 +34,7 @@ from bandforge.words import BraidWord, parse_word, permutation, writhe
 from conftest import counted, random_braid_word, random_letters, sparse_words, w4
 from oracle import conjugate_ball_search
 from sss_reference import (
+    conjugators_tried,
     sss_enumerate_by_words,
     sss_enumerate_per_element,
     sss_representative_by_orbit,
@@ -349,6 +350,59 @@ class TestSssAgainstPerElementClosure:
         )
 
 
+class TestMinimalConjugators:
+    """The closure tries no delta and no factor above a keeper, and loses no element."""
+
+    @staticmethod
+    def corpus(n, count, max_len=12):
+        rng = random.Random(7919 * n)
+        return [random_braid_word(n, rng.randint(6, max_len), rng, neg=0.3) for _ in range(count)]
+
+    @staticmethod
+    def enumerate_recording(data, monkeypatch):
+        """sss_enumerate(data), with the factors tried at each expanded node, in order."""
+        trials: dict[LeftCanonicalForm, list] = {}
+        inner = conjugacy.right_multiply
+
+        def recording(form, f):
+            trials.setdefault(form, []).append(f)
+            return inner(form, f)
+
+        monkeypatch.setattr(conjugacy, "right_multiply", recording)
+        try:
+            sss_enumerate(data)
+        finally:
+            monkeypatch.undo()
+        return trials
+
+    # SSS sizes up to 590 at n = 5 and 1,080 at n = 6.
+    @pytest.mark.parametrize("n, count, max_len", [(5, 30, 12), (6, 8, 10)])
+    def test_closure_matches_per_element(self, n, count, max_len):
+        for w in self.corpus(n, count, max_len):
+            data = sss_representative(w)
+            expected = sss_enumerate_per_element(sss_representative(w))
+            assert sss_enumerate(data) == expected, w.render()
+            base = lcf_to_word(data.representative)
+            for element, path in data.sss_witnesses.items():
+                assert lcf(base.conjugated_by(signed_word(n, 0, path))) == element
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_delta_never_tried(self, n, monkeypatch):
+        for w in self.corpus(n, 6):
+            trials = self.enumerate_recording(sss_representative(w), monkeypatch)
+            tried = [f for fs in trials.values() for f in fs]
+            assert tried and not any(f.is_delta for f in tried), w.render()
+
+    @pytest.mark.parametrize("n, count", [(3, 20), (4, 20), (5, 8), (6, 2)])
+    def test_tries_exactly_the_unblocked_factors(self, n, count, monkeypatch):
+        for w in self.corpus(n, count):
+            data = sss_representative(w)
+            trials = self.enumerate_recording(data, monkeypatch)
+            target = (data.inf_conj, data.sup_conj)
+            for node, tried in trials.items():
+                assert tried == conjugators_tried(node, target), (w.render(), node.text())
+
+
 class TestClosureInvariants:
     """The two facts the closure rests on, and the work they save."""
 
@@ -439,6 +493,20 @@ class TestAreConjugate:
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             are_conjugate(w4("a1"), parse_word("a(2,1)", 5))
+
+    def test_witnesses_are_freely_reduced(self, rng):
+        shortened = 0
+        for _ in range(30):
+            w = random_braid_word(4, rng.randint(1, 8), rng, neg=0.3)
+            v = random_braid_word(4, rng.randint(0, 3), rng, neg=0.5)
+            summit = sss_representative(w)
+            res = are_conjugate(w, w.conjugated_by(v))
+            assert lcf(w.conjugated_by(summit.witness)) == summit.representative
+            assert lcf(w.conjugated_by(res.witness)) == lcf(w.conjugated_by(v))
+            for witness in (summit.witness, res.witness):
+                assert all(a != b.inverse() for a, b in zip(witness.letters, witness.letters[1:]))
+            shortened += len(summit.witness) < len(signed_word(4, 0, summit.witness_steps))
+        assert shortened > 0
 
     def test_non_conjugate_same_writhe(self):
         # a1 a1 and a1 a3 have equal writhe but different permutation types.

@@ -400,6 +400,7 @@ class TestStrictlyAsqpAgainstAllRule:
                 certificate = verdict.certificate
                 x = lcf(certificate.word)
                 assert lcf(w.conjugated_by(certificate.conjugator)) == x, w.render()
+                assert certificate.conjugator.freely_reduced() == certificate.conjugator
                 assert count_negative_bands(certificate.word) == 1, w.render()
                 assert x in sss_enumerate(data), w.render()
             else:

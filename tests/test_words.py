@@ -2,6 +2,7 @@
 
 import pytest
 
+from bandforge.normal_form import lcf
 from bandforge.words import (
     MAX_WORD_LETTERS,
     BandLetter,
@@ -164,3 +165,28 @@ class TestWordAlgebra:
         assert w**2 == parse_word("a1 a2 a1 a2", 4)
         assert w**-1 == w.inverse()
         assert w**0 == BraidWord(4)
+
+    @pytest.mark.parametrize(
+        "text, reduced",
+        [
+            ("a1 A1", ""),
+            ("a1 a2 A2 A1 a3", "a3"),
+            ("b1 a(3,1) A(3,1) B1 A2", "A2"),
+            ("a1 A2 a1", "a1 A2 a1"),
+            ("A1 a1 a1", "a1"),
+            ("a(4,3) A(4,2)", "a(4,3) A(4,2)"),
+        ],
+    )
+    def test_freely_reduced(self, text, reduced):
+        assert parse_word(text, 4).freely_reduced() == parse_word(reduced, 4)
+
+    def test_freely_reduced_keeps_the_braid(self, rng):
+        for _ in range(50):
+            w = random_braid_word(5, rng.randint(0, 12), rng, neg=0.5)
+            u = random_braid_word(5, rng.randint(0, 4), rng, neg=0.5)
+            padded = w * u * u.inverse()
+            reduced = padded.freely_reduced()
+            assert reduced.freely_reduced() == reduced
+            assert len(reduced) <= len(w)
+            assert lcf(reduced) == lcf(w)
+            assert all(a != b.inverse() for a, b in zip(reduced.letters, reduced.letters[1:]))
