@@ -33,7 +33,7 @@ from .fdtc import fdtc_bounds
 from .normal_form import lcf, lcf_to_word, left_weight_pair
 from .positivity import _nb_from_form, _strictly_asqp_verdict
 from .render import render_svg
-from .words import ParseError, parse_word
+from .words import MAX_STRANDS, ParseError, parse_word
 
 
 @functools.cache
@@ -292,6 +292,8 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if not 1 <= args.n <= MAX_STRANDS:
+            raise ValueError(f"strand count must be in 1..{MAX_STRANDS}, got {args.n}")
         payload, human = _COMMANDS[args.command](args)
         use_json = payload is not None and getattr(args, "json", False)
         text = json.dumps(payload, indent=2, sort_keys=True) if use_json else human

@@ -66,12 +66,9 @@ Conjugation convention: conjugate(w, v) = v^-1 w v.  Every conjugator is
 held as signed-factor steps that compose left to right along the search
 path: (f, 1) for f and (f, -1) for f^-1.  The summit search records one step
 per cycling or decycling step; the closure records (f, 1) per conjugating
-factor and (delta, 1) per tau-shift.  Where steps are gathered or joined,
-an adjacent pair (f, s)(f, -s) cancels (normal_form.cancel_inverse_pairs):
-the last idle cyclings are often undone by the first decyclings.  No word is
-built until a witness is read, and then normal_form.signed_word spells the
-steps out as letters and the word is freely reduced: a letter and its
-inverse can still meet where the words of two different steps join.
+factor and (delta, 1) per tau-shift.  No word is built until a witness is
+read; then normal_form.signed_word spells the steps out as letters and the
+word is freely reduced.
 """
 
 from __future__ import annotations
@@ -84,7 +81,6 @@ from .factors import CanonicalFactor, complement, delta_factor, enumerate_factor
 from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
-    cancel_inverse_pairs,
     lcf,
     left_multiply,
     right_multiply,
@@ -105,24 +101,18 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def default_budget() -> int:
-    """The budget from BANDFORGE_BUDGET when set, else DEFAULT_SSS_BUDGET."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if not raw:
-        return DEFAULT_SSS_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def resolve_budget(budget: Optional[int]) -> int:
-    """The element budget to enforce: budget, or default_budget() when None; below 1 is a ValueError."""
-    limit = default_budget() if budget is None else budget
-    if limit < 1:
-        source = BUDGET_ENV_VAR if budget is None else "budget"
-        raise ValueError(f"{source} must be at least 1, got {limit}")
-    return limit
+    """budget, else BANDFORGE_BUDGET when set, else DEFAULT_SSS_BUDGET; below 1 is a ValueError."""
+    source = "budget"
+    if budget is None:
+        source, raw = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR)
+        try:
+            budget = int(raw) if raw else DEFAULT_SSS_BUDGET
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def cycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
@@ -156,8 +146,7 @@ class SummitData:
     """A super summit representative plus (optionally) the enumerated set.
 
     witness_steps is the conjugator from the original word to the
-    representative, one (factor, sign) step per cycling or decycling step
-    less the adjacent inverse pairs, which cancel.
+    representative, one (factor, sign) step per cycling or decycling step.
     sss_witnesses maps each enumerated element to the steps of a conjugator
     from the representative: (f, 1) per conjugating factor and (delta, 1)
     per tau-shift.  Those conjugators are not unique: an element reached
@@ -210,7 +199,7 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
         steps.append(_decycling_step(form))
         form = decycling(form)
         idle = idle + 1 if form.sup == sup else 0
-    return SummitData(form, cancel_inverse_pairs(steps))
+    return SummitData(form, tuple(steps))
 
 
 def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bool:
@@ -334,9 +323,7 @@ def are_conjugate(
     sss1 = sss_enumerate(rep1, budget)
     if rep2.representative in sss1:
         back = tuple((f, -sign) for f, sign in reversed(rep2.witness_steps))
-        steps = cancel_inverse_pairs(
-            rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
-        )
+        steps = rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
         witness = signed_word(w1.n, 0, steps).freely_reduced()
         return ConjugacyResult(True, witness, len(sss1), len(sss1))
     size2 = len(sss_enumerate(rep2, budget))

@@ -190,17 +190,6 @@ def signed_word(n: int, power: int, entries: Iterable[SignedFactor]) -> BraidWor
     return BraidWord(n, tuple(letters))
 
 
-def cancel_inverse_pairs(steps: Iterable[SignedFactor]) -> tuple[SignedFactor, ...]:
-    """The steps with every adjacent (f, s)(f, -s) pair removed, repeatedly, as free reduction."""
-    out: list[SignedFactor] = []
-    for f, sign in steps:
-        if out and out[-1] == (f, -sign):
-            out.pop()
-        else:
-            out.append((f, sign))
-    return tuple(out)
-
-
 def lcf_to_word(form: LeftCanonicalForm) -> BraidWord:
     """A word for the normal form: delta^r expanded, then the factor words."""
     return signed_word(form.n, form.power, ((f, 1) for f in form.factors))

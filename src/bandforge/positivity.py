@@ -18,26 +18,25 @@ criterion is also necessary, so a False verdict is definitive there; for
 n >= 5 it is inconclusive.
 
 nb(beta) is the minimal number of negative bands over all band words.  The
-reduction operation trades each leading delta^-1 against a maximal-length
-positive entry, replacing it by the inverse of its complement; the terminal
-mixed word is a shortest word for the braid, so its negative-letter count
-*is* nb for n <= 4 (where the underlying shortest-word theorem is proved)
-and an upper bound otherwise.  Together with |inf| <= nb and
-nb <= (n-2)|inf| - min(0, sup) this pins nb between computable bounds, with
-equality at n = 3 via the closed formula.
+reduction trades each leading delta^-1 against a longest positive entry,
+which becomes the inverse of its complement; reduce() reads the terminal
+mixed word off in one pass.  That word is a shortest word for the braid, so
+its negative-letter count *is* nb for n <= 4 (where the underlying
+shortest-word theorem is proved) and an upper bound otherwise.  Together
+with |inf| <= nb and nb <= (n-2)|inf| - min(0, sup) this pins nb between
+computable bounds, with equality at n = 3 via the closed formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .conjugacy import SummitData, _sss_walk, sss_representative
 from .factors import complement, tau
 from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
-    cancel_inverse_pairs,
     lcf,
     signed_word,
 )
@@ -78,42 +77,32 @@ class ReducedWord:
         return " · ".join(parts) if parts else "e"
 
 
-def leftmost_choice(candidates: Sequence[int]) -> int:
-    """Default tie-break among maximal-length entries: smallest position."""
-    return candidates[0]
+def reduce(source: Union[LeftCanonicalForm, ReducedWord]) -> ReducedWord:
+    """The terminal form of delta^power E_1 ... E_m, read off in one pass.
 
-
-def reduce_once(
-    rw: ReducedWord, choose: Callable[[Sequence[int]], int] = leftmost_choice
-) -> ReducedWord:
-    """One reduction step: trade a delta^-1 against a longest positive entry.
-
-    The chosen entry W_k (maximal word length among positive entries) is
-    replaced by complement(W_k)^-1; entries to its left rotate by tau and
-    the power rises by one.  Terminal forms are returned unchanged.
+    A trade turns a leading delta^-1 and a longest positive entry E into
+    complement(E)^-1, rotates the entries to its left by tau and raises the
+    power by one; trades go on until the form is terminal.  As a trade
+    rotates only entries to its left, tau keeps word length and a traded
+    entry turns negative, the picks are fixed in advance: the
+    min(-power, #positive) longest positive entries, leftmost first among
+    equals.  An entry with r picks to its right is rotated r times, so, as
+    complement commutes with tau, it ends as tau^r(E), or as
+    tau^r(complement(E))^-1 if picked.
     """
-    if rw.is_terminal:
-        return rw
-    lengths = [f.word_length if sign > 0 else -1 for f, sign in rw.entries]
-    best = max(lengths)
-    k = choose([i for i, length in enumerate(lengths) if length == best])
-    head = tuple((tau(f), sign) for f, sign in rw.entries[:k])
-    swapped = (complement(rw.entries[k][0]), -1)
-    return ReducedWord(rw.n, rw.power + 1, head + (swapped,) + rw.entries[k + 1 :])
-
-
-def reduce(
-    source: Union[LeftCanonicalForm, ReducedWord],
-    choose: Callable[[Sequence[int]], int] = leftmost_choice,
-) -> ReducedWord:
-    """Iterate reduce_once until terminal (at most |power| steps)."""
-    if isinstance(source, LeftCanonicalForm):
-        rw = ReducedWord(source.n, source.power, tuple((f, 1) for f in source.factors))
-    else:
-        rw = source
-    while not rw.is_terminal:
-        rw = reduce_once(rw, choose)
-    return rw
+    is_form = isinstance(source, LeftCanonicalForm)
+    entries = tuple((f, 1) for f in source.factors) if is_form else source.entries
+    positive = [i for i, (_, sign) in enumerate(entries) if sign > 0]
+    trades = max(0, min(-source.power, len(positive)))
+    # sorted is stable: among equal lengths the leftmost entry comes first.
+    traded = set(sorted(positive, key=lambda i: -entries[i][0].word_length)[:trades])
+    out: list[SignedFactor] = []
+    r = 0  # picks to the right of entry i
+    for i in reversed(range(len(entries))):
+        f, sign = entries[i]
+        out.append((tau(complement(f), r), -1) if i in traded else (tau(f, r), sign))
+        r += i in traded
+    return ReducedWord(source.n, source.power + trades, tuple(reversed(out)))
 
 
 def count_negative_bands(x: Union[BraidWord, ReducedWord]) -> int:
@@ -257,6 +246,6 @@ def _strictly_asqp_verdict(data: SummitData, budget: Optional[int]) -> StrictAsq
             if any(f.word_length == n - 2 for f in element.factors):
                 # The factors of length n - 2 are the longest ones, so reduce
                 # makes the one trade at the leftmost of them.
-                conjugator = cancel_inverse_pairs(data.witness_steps + steps)
-                return StrictAsqpVerdict(True, True, AsqpCertificate(conjugator, reduce(element)))
+                certificate = AsqpCertificate(data.witness_steps + steps, reduce(element))
+                return StrictAsqpVerdict(True, True, certificate)
     return StrictAsqpVerdict(False, n <= 4)

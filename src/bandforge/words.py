@@ -136,6 +136,9 @@ _B4_ALIASES = {
 #: are expanded, so an oversized word fails at once instead of filling memory.
 MAX_WORD_LETTERS = 100_000
 
+#: Most strands the command line accepts; a factor holds two arrays of n + 1 entries.
+MAX_STRANDS = 1024
+
 
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse word text into a BraidWord on n strands.

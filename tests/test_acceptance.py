@@ -26,7 +26,6 @@ from bandforge.positivity import (
     count_negative_bands,
     nb_conjugacy_report,
     reduce,
-    reduce_once,
 )
 from bandforge.fdtc import fdtc_bounds, fdtc_exact_if_pinched
 from bandforge.words import BandLetter, BraidWord
@@ -41,6 +40,7 @@ from conftest import (
     w4,
 )
 from oracle import _ball_key, delta_factorizations, element_key
+from reduction_reference import reduce_once
 from test_fdtc import TWO_FACTOR_FDTC, WORDS
 from test_oracle import DELTA_WORDS_LISTED
 from test_tables import INCREASABLE_ROWS, NON_INCREASING_ROWS, rotation_classes

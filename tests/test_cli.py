@@ -15,7 +15,7 @@ import bandforge.normal_form
 import bandforge.positivity
 from bandforge.cli import run
 from bandforge.normal_form import lcf
-from bandforge.words import MAX_WORD_LETTERS, parse_word
+from bandforge.words import MAX_STRANDS, MAX_WORD_LETTERS, parse_word
 
 import summit_corpus
 from conftest import counted, w4
@@ -262,6 +262,17 @@ class TestExitCodes:
         capture(["lcf", "-n", "4", word], expect_code=1)
         assert time.perf_counter() - start < 1.0
         assert f"more than {MAX_WORD_LETTERS} letters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1000000000", str(MAX_STRANDS + 1), "0", "-3"])
+    @pytest.mark.parametrize("command", ["lcf", "classify"])
+    def test_strand_count_out_of_range(self, command, n, capsys):
+        # Checked before any factor is built: n + 1 label entries per factor
+        # would otherwise fill memory at n = 10^9.
+        start = time.perf_counter()
+        capture([command, "-n", n, "a(2,1)"], expect_code=1)
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == f"error: strand count must be in 1..{MAX_STRANDS}, got {n}\n"
 
     def test_budget_exceeded(self):
         capture(["sss", "-n", "4", "a1", "--enumerate", "--budget", "2"], expect_code=2)

@@ -22,7 +22,6 @@ from bandforge.conjugacy import (
 from bandforge.factors import catalan, complement, enumerate_factors, factor_to_word, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
-    cancel_inverse_pairs,
     lcf,
     lcf_to_word,
     left_multiply,
@@ -202,7 +201,6 @@ class TestSummitAgainstOrbitSearch:
                 reference.sup_conj,
             ), w.render()
             assert lcf(w.conjugated_by(data.witness)) == data.representative, w.render()
-            assert cancel_inverse_pairs(data.witness_steps) == data.witness_steps
             if index < self.ENUMERATED.get(w.n, 0):
                 assert data.representative in sss_enumerate(reference), w.render()
 

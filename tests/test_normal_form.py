@@ -5,11 +5,9 @@ import pytest
 from bandforge.factors import delta_factor, enumerate_factors, factor_to_word
 from bandforge.normal_form import (
     LeftCanonicalForm,
-    cancel_inverse_pairs,
     lcf,
     lcf_to_word,
     left_weight_pair,
-    signed_word,
 )
 from bandforge.words import BraidWord, delta_word, parse_word, permutation, writhe
 
@@ -141,21 +139,6 @@ class TestLcfToWord:
             w = random_braid_word(n, rng.randint(0, 10), rng, neg=0.4)
             form = lcf(w)
             assert lcf(lcf_to_word(form)) == form
-
-
-class TestCancelInversePairs:
-    def test_nested_pairs_cancel(self):
-        a, b, c = b4("a1"), b4("a2a1"), b4("delta")
-        steps = [(a, 1), (b, -1), (b, 1), (a, -1), (c, 1), (a, 1), (a, 1), (b, 1)]
-        assert cancel_inverse_pairs(steps) == ((c, 1), (a, 1), (a, 1), (b, 1))
-
-    def test_same_braid(self, rng):
-        factors = enumerate_factors(4)
-        for _ in range(200):
-            steps = [(rng.choice(factors[1:4]), rng.choice((1, -1))) for _ in range(8)]
-            reduced = cancel_inverse_pairs(steps)
-            assert all(x != (f, -s) for x, (f, s) in zip(reduced, reduced[1:]))
-            assert lcf(signed_word(4, 0, reduced)) == lcf(signed_word(4, 0, steps))
 
 
 class TestSoundness:

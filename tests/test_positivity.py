@@ -5,12 +5,12 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandforge import positivity
 from bandforge.conjugacy import sss_enumerate, sss_representative
-from bandforge.factors import gen_factor
+from bandforge.factors import enumerate_factors, gen_factor
 from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_to_word
 from bandforge.positivity import (
     ReducedWord,
@@ -22,7 +22,6 @@ from bandforge.positivity import (
     nb_conjugacy_report,
     nb_report,
     reduce,
-    reduce_once,
 )
 from bandforge.words import BraidWord, parse_word
 
@@ -35,6 +34,7 @@ from conftest import (
     sparse_words,
     w4,
 )
+from reduction_reference import reduce_once, reduce_stepwise
 from sss_reference import strictly_asqp_by_all
 
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
@@ -125,7 +125,7 @@ class TestReduce:
                     form = LeftCanonicalForm(n, inf, factors)
                     expected = -inf * (n - 1) - sum(lengths[: min(-inf, len(factors))])
                     assert count_negative_bands(reduce(form)) == expected, form.text()
-                    rightmost = reduce(form, lambda candidates: candidates[-1])
+                    rightmost = reduce_stepwise(form, lambda candidates: candidates[-1])
                     assert count_negative_bands(rightmost) == expected, form.text()
 
     def test_preserves_braid(self, rng):
@@ -406,6 +406,22 @@ class TestStrictlyAsqpAgainstAllRule:
             else:
                 assert verdict.certificate is None
         assert gains[5] > 0 and gains[6] > 0
+
+
+class TestReduceAgainstStepwise:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_one_pass_equals_the_loop(self, data):
+        # Any factors strictly between e and delta, each with its own sign:
+        # the entries of a mixed form need not be left weighted.  At n = 2
+        # there is no such factor.
+        n = data.draw(st.integers(2, 9), label="n")
+        middle = enumerate_factors(n, bound=9)[1:-1]
+        entry = st.tuples(st.sampled_from(middle), st.sampled_from((1, -1)))
+        entries = tuple(data.draw(st.lists(entry, max_size=12), label="entries") if middle else ())
+        power = data.draw(st.integers(-len(entries) - 2, 1), label="power")
+        rw = ReducedWord(n, power, entries)
+        assert reduce(rw) == reduce_stepwise(rw), rw.text()
 
 
 class TestNbProperties:
