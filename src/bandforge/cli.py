@@ -3,7 +3,7 @@ Command-line front end.
 
 JSON (via --json) is the machine interface; the default human output is a
 thin formatter over the same data.  Exit codes: 0 success, 1 user/parse
-error, 2 enumeration budget exceeded.
+error, 2 enumeration budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -303,8 +303,8 @@ def run(argv: list[str], out=None) -> int:
         else:
             out.write(text if text.endswith("\n") else text + "\n")
         return 0
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,11 +27,10 @@ simultaneously, and the whole set is reachable from any one element by
 conjugating with single canonical factors and keeping the results that stay
 in the set (the standard convexity fact; imported here without reproof).
 
-The closure conjugates in factor space, never through words.  For a
-factor f with complement(f) = f^-1 delta, f^-1 = delta^-1 tau^-1(complement(f)),
-so f^-1 W f is two multiplications of a normal form by one factor each:
+The closure conjugates in factor space, never through words: f^-1 W f is
+two multiplications of a normal form by one factor each,
 
-    f^-1 W f = delta^-1 * left_multiply(tau^-1(complement(f)), right_multiply(W, f)).
+    f^-1 W f = left_divide(f, right_multiply(W, f)).
 
 Cycling and decycling are one multiplication each, of the normal form
 delta^r A_2 ... A_k by tau^-r(A_1) on the right, and of delta^r A_1 ... A_{k-1}
@@ -73,15 +72,15 @@ word is freely reduced.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .factors import CanonicalFactor, complement, delta_factor, enumerate_factors, precedes, tau
+from .factors import CanonicalFactor, delta_factor, enumerate_factors, precedes, tau
 from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
     lcf,
+    left_divide,
     left_multiply,
     right_multiply,
     signed_word,
@@ -89,7 +88,6 @@ from .normal_form import (
 from .words import BraidWord, writhe
 
 DEFAULT_SSS_BUDGET = 100_000
-BUDGET_ENV_VAR = "BANDFORGE_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
@@ -102,16 +100,11 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget(budget: Optional[int]) -> int:
-    """budget, else BANDFORGE_BUDGET when set, else DEFAULT_SSS_BUDGET; below 1 is a ValueError."""
-    source = "budget"
+    """budget, else DEFAULT_SSS_BUDGET; below 1 is a ValueError."""
     if budget is None:
-        source, raw = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR)
-        try:
-            budget = int(raw) if raw else DEFAULT_SSS_BUDGET
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+        return DEFAULT_SSS_BUDGET
     if budget < 1:
-        raise ValueError(f"{source} must be at least 1, got {budget}")
+        raise ValueError(f"budget must be at least 1, got {budget}")
     return budget
 
 
@@ -246,7 +239,7 @@ def _sss_walk(
     yield from join_orbit(data.representative, ())
     # Shortest first (enumerate_factors order), so every factor below f comes before it.
     conjugators = [
-        (f, complement(f), tau(f, p))
+        (f, tau(f, p))
         for f in enumerate_factors(n)
         if not (f.is_identity or f.is_delta)
     ]
@@ -258,20 +251,17 @@ def _sss_walk(
         base_path = seen[current]
         # The conjugators above a keeper of current: each is skipped.
         blocked: set[CanonicalFactor] = set()
-        for f, f_complement, f_shifted in conjugators:
+        for f, f_shifted in conjugators:
             if f in blocked:
                 continue
             right = right_multiply(current, f)
             if not _keeps_inf(right, f_shifted, p):
                 continue
-            # delta^-1 tau^-1(complement(f)) delta^q X = delta^(q-1) tau^(q-1)(complement(f)) X
-            candidate = left_multiply(
-                f_complement, LeftCanonicalForm(n, right.power - 1, right.factors)
-            )
+            candidate = left_divide(f, right)
             if (candidate.power, candidate.sup) != target:
                 continue
             if f not in above:
-                above[f] = [h for h, _, _ in conjugators if precedes(f, h)]
+                above[f] = [h for h, _ in conjugators if precedes(f, h)]
             blocked.update(above[f])
             if candidate in seen:
                 continue

@@ -26,8 +26,9 @@ pass over the arrays.
 
 Factors are interned by their label array, one object per array, so two
 factors are equal exactly when they are the same object, and they hash by
-identity.  A result is looked up first; only a new one is checked to be
-non-crossing, by one stack scan over 1..n.  Everything here is a pure
+identity.  Only factor(), the constructor for partitions from outside, scans
+for crossing blocks, once per new label array; every other result is
+non-crossing by construction and only interned.  Everything here is a pure
 function of immutable values; complements, rotations and the prefix order
 are also cached in module-level memo tables.
 """
@@ -137,18 +138,15 @@ _INTERN: dict[tuple[int, ...], CanonicalFactor] = {}
 
 
 def _from_labels(label: tuple[int, ...], perm: Optional[Sequence[int]] = None) -> CanonicalFactor:
-    """The factor with these labels: label[k] is the least element of k's block.
+    """The interned factor with these labels: label[k] is the least element of k's block.
 
-    Entry 0 is unused (0).  A factor not yet interned is rejected if two of
-    its blocks cross; its permutation is perm when the caller holds it, else
-    read off the labels.
+    Entry 0 is unused (0).  The partition must be non-crossing; nothing here
+    checks it.  A new factor's permutation is perm when the caller holds it,
+    else read off the labels.
     """
     f = _INTERN.get(label)
     if f is None:
         n = len(label) - 1
-        if crossed := _crossing(label):
-            x, y = (tuple(k for k in range(1, n + 1) if label[k] == l) for l in crossed)
-            raise ValueError(f"blocks {x} and {y} cross")
         if perm is None:
             # Until the scan ends, a block's least element maps to its last element so far.
             perm = list(range(n + 1))
@@ -163,7 +161,8 @@ def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
     """Build the canonical factor with the given blocks (singletons optional).
 
     Raises ValueError if the blocks do not form a non-crossing partition of a
-    subset of {1..n} (missing elements become singletons).
+    subset of {1..n} (missing elements become singletons); only labels not
+    yet interned are scanned for crossing blocks.
     """
     if n < 1:
         raise ValueError(f"strand count must be >= 1, got {n}")
@@ -180,7 +179,11 @@ def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
         seen |= set(block)
         for x in block:
             label[x] = block[0]
-    return _from_labels(tuple(label))
+    key = tuple(label)
+    if key not in _INTERN and (crossed := _crossing(key)):
+        x, y = (tuple(k for k in range(1, n + 1) if key[k] == l) for l in crossed)
+        raise ValueError(f"blocks {x} and {y} cross")
+    return _from_labels(key)
 
 
 def identity_factor(n: int) -> CanonicalFactor:

@@ -16,11 +16,11 @@ first pair that does not change:
   the right, (g, A_i) -> (D_i, g'), and each D_i is final.  A delta can
   only form at the front, where it joins the power.
 - delta^r A_1 ... A_k * f runs to the left, (A_i, f) -> (f', B_i).  A delta
-  that forms at position i moves to the front past A_1 ... A_{i-1}, rotating
-  each once (X delta = delta tau(X)), and the pass ends there.
+  that forms is carried to the front by the pass itself, as
+  (A, delta) -> (delta, tau(A)) is X delta = delta tau(X); it joins the power.
 
 lcf() multiplies the letters in on the left, last letter first; a negative
-letter is c^-1 = delta^-1 tau^-1(complement(c)).
+letter c is left_divide(c, form), as c^-1 = delta^-1 tau^-1(complement(c)).
 """
 
 from __future__ import annotations
@@ -132,10 +132,15 @@ def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalF
     if not g.is_identity:
         out.append(g)
     out += fs[i:]
-    deltas = 0
-    while deltas < len(out) and out[deltas].is_delta:
-        deltas += 1
-    return LeftCanonicalForm(n, form.power + deltas, tuple(out[deltas:]))
+    # g <= delta, so inf(g * form) <= inf(form) + 1: at most one delta, at the front.
+    if out and out[0].is_delta:
+        return LeftCanonicalForm(n, form.power + 1, tuple(out[1:]))
+    return LeftCanonicalForm(n, form.power, tuple(out))
+
+
+def left_divide(c: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
+    """c^-1 * form, as c^-1 delta^r X = delta^(r-1) tau^(r-1)(complement(c)) X."""
+    return left_multiply(complement(c), LeftCanonicalForm(form.n, form.power - 1, form.factors))
 
 
 def right_multiply(form: LeftCanonicalForm, f: CanonicalFactor) -> LeftCanonicalForm:
@@ -148,7 +153,7 @@ def right_multiply(form: LeftCanonicalForm, f: CanonicalFactor) -> LeftCanonical
     fs = form.factors
     i = len(fs)
     tail: list[CanonicalFactor] = []
-    while i and not f.is_delta:
+    while i:
         a, b = left_weight_pair(fs[i - 1], f)
         if a is fs[i - 1]:  # a weighted pair: nothing to its left changes
             break
@@ -157,8 +162,8 @@ def right_multiply(form: LeftCanonicalForm, f: CanonicalFactor) -> LeftCanonical
         f = a
         i -= 1
     tail.reverse()
-    if f.is_delta:
-        return LeftCanonicalForm(n, form.power + 1, tuple([tau(x) for x in fs[:i]] + tail))
+    if f.is_delta:  # carried to the front: i = 0
+        return LeftCanonicalForm(n, form.power + 1, tuple(tail))
     return LeftCanonicalForm(n, form.power, fs[:i] + (f, *tail))
 
 
@@ -168,12 +173,7 @@ def lcf(w: BraidWord) -> LeftCanonicalForm:
     form = LeftCanonicalForm(n, 0, ())
     for letter in reversed(w.letters):
         g = gen_factor(n, letter.t, letter.s)
-        if letter.sign > 0:
-            form = left_multiply(g, form)
-        else:
-            # c^-1 * delta^r X = delta^(r-1) tau^(r-1)(complement(c)) X
-            shifted = LeftCanonicalForm(n, form.power - 1, form.factors)
-            form = left_multiply(complement(g), shifted)
+        form = left_multiply(g, form) if letter.sign > 0 else left_divide(g, form)
     return form
 
 

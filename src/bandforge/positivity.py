@@ -22,9 +22,11 @@ reduction trades each leading delta^-1 against a longest positive entry,
 which becomes the inverse of its complement; reduce() reads the terminal
 mixed word off in one pass.  That word is a shortest word for the braid, so
 its negative-letter count *is* nb for n <= 4 (where the underlying
-shortest-word theorem is proved) and an upper bound otherwise.  Together
-with |inf| <= nb and nb <= (n-2)|inf| - min(0, sup) this pins nb between
-computable bounds, with equality at n = 3 via the closed formula.
+shortest-word theorem is proved) and an upper bound otherwise.  The count is
+read off delta^r A_1 ... A_k, r < 0: -r(n-1) minus the sum of the min(-r, k)
+largest factor lengths, as each trade saves its factor's length.  With
+|inf| <= nb this pins nb between computable bounds; as every factor has
+length >= 1, the count is at most (n-2)|inf| - min(0, sup), equal (checked) at n = 3.
 """
 
 from __future__ import annotations
@@ -160,19 +162,18 @@ class NbReport:
 
 
 def _nb_from_form(form: LeftCanonicalForm) -> NbReport:
-    n, inf, sup = form.n, form.inf, form.sup
+    n, inf = form.n, form.inf
     if inf >= 0:
         return NbReport(0, 0, 0, 0)
-    reduced_count = count_negative_bands(reduce(form))
-    lower = -inf
-    formula = (n - 2) * (-inf) - min(0, sup)
-    upper = min(formula, reduced_count)
-    if n == 3 and reduced_count != formula:
+    # The negative letters of reduce(form): see the module docstring.
+    lengths = sorted((f.word_length for f in form.factors), reverse=True)
+    reduced_count = -inf * (n - 1) - sum(lengths[:-inf])
+    if n == 3 and reduced_count != (formula := -inf - min(0, form.sup)):
         raise RuntimeError(
             f"reduction count {reduced_count} disagrees with the 3-braid formula {formula}"
         )
     exact = reduced_count if n <= 4 else None
-    return NbReport(lower, upper, exact, reduced_count)
+    return NbReport(-inf, reduced_count, exact, reduced_count)
 
 
 def nb_report(w: BraidWord) -> NbReport:

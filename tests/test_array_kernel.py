@@ -8,6 +8,10 @@ __wrapped__ so that their memo tables cannot answer in their place.
 
 The arrays are the factor: its blocks are grouped by label only when first
 read, and lcf() never reads them.
+
+Only factor() scans for crossing blocks, so every other kernel result must
+be non-crossing by construction: each is checked to be, and to be the factor
+that factor() builds from its blocks.
 """
 
 import random
@@ -16,9 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bandforge.factors import (
     _INTERN,
+    _crossing,
     _tau_shift,
     complement,
     enumerate_factors,
@@ -26,9 +33,10 @@ from bandforge.factors import (
     meet,
     precedes,
 )
-from bandforge.normal_form import lcf
+from bandforge.normal_form import lcf, left_weight_pair
+from bandforge.words import BandLetter, BraidWord
 
-from conftest import random_braid_word
+from conftest import all_chords, random_braid_word
 from transfer_reference import (
     reference_complement,
     reference_meet,
@@ -117,6 +125,44 @@ def test_sampled_lcf_factors(n):
         related += not meet(a, b).is_identity
     # The sample must hold pairs with a nontrivial meet, not only e.
     assert related >= 40
+
+
+fresh_left_weight_pair = left_weight_pair.__wrapped__
+
+
+def _assert_non_crossing(results):
+    for f in results:
+        assert _crossing(f._label) is None, f._label
+        assert factor(f.n, f.blocks) is f, f.text()
+
+
+def _kernel_results(a, others):
+    """a's complement and rotations, and its meet and left weighting with each of others."""
+    results = {fresh_complement(a), *(fresh_tau(a, shift) for shift in range(1, a.n))}
+    for b in others:
+        results.add(meet(a, b))
+        results.update(fresh_left_weight_pair(a, b))
+    return results
+
+
+def test_kernel_results_non_crossing_all_pairs():
+    factors = enumerate_factors(7)
+    results = set().union(*(_kernel_results(a, factors) for a in factors))
+    _assert_non_crossing(results)
+    assert results == set(factors)
+
+
+@given(st.data())
+def test_kernel_results_non_crossing_lcf_factors(data):
+    n = data.draw(st.integers(8, 16), label="n")
+    letters = st.tuples(st.sampled_from(all_chords(n)), st.sampled_from((1, -1)))
+    drawn = data.draw(st.lists(letters, min_size=1, max_size=30), label="letters")
+    w = BraidWord(n, tuple(BandLetter(t, s, sign) for (t, s), sign in drawn))
+    fs = lcf(w).factors
+    _assert_non_crossing(fs)
+    others = fs + tuple(map(complement, fs))
+    for a in fs:
+        _assert_non_crossing(_kernel_results(a, others))
 
 
 def _words(seed, count):

@@ -304,24 +304,13 @@ class TestExitCodes:
         capture([command, "-n", "4", "A1", "--budget", "5"], expect_code=1)
         assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "raw,message",
-        [
-            ("0", "BANDFORGE_BUDGET must be at least 1, got 0"),
-            ("abc", "BANDFORGE_BUDGET must be an integer, got 'abc'"),
-        ],
-    )
-    def test_bad_budget_variable(self, raw, message, monkeypatch, capsys):
-        monkeypatch.setenv("BANDFORGE_BUDGET", raw)
-        capture(["sss", "-n", "4", "a1", "--enumerate"], expect_code=1)
-        assert message in capsys.readouterr().err
+    def test_out_of_memory_is_an_error_line(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
 
-    @pytest.mark.parametrize("word", ["a1", "a1 a3", "A1", "A1 A3"])
-    def test_classify_checks_the_budget_variable(self, word, monkeypatch, capsys):
-        # Whatever inf_s the class has, a bad budget is a user error.
-        monkeypatch.setenv("BANDFORGE_BUDGET", "0")
-        capture(["classify", "-n", "4", word], expect_code=1)
-        assert "BANDFORGE_BUDGET must be at least 1, got 0" in capsys.readouterr().err
+        monkeypatch.setitem(bandforge.cli._COMMANDS, "nb", exhausted)
+        capture(["nb", "-n", "4", "A1"], expect_code=2)
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.json"

@@ -20,6 +20,7 @@ from bandforge.normal_form import (
     lcf,
     lcf_to_word,
     left_multiply,
+    left_weight_pair,
     right_multiply,
 )
 from bandforge.words import BandLetter, BraidWord
@@ -84,6 +85,45 @@ class TestOnePass:
             calls = 0
             lcf(w)
             assert calls == len(w), w.render()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_delta_passes_every_factor(self, n):
+        # (A, delta) -> (delta, tau(A)): the right pass carries a delta to the front.
+        delta = enumerate_factors(n)[-1]
+        for a in enumerate_factors(n)[1:]:
+            assert left_weight_pair(a, delta) == (delta, tau(a)), a.text()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_delta_formed_mid_form(self, n, monkeypatch):
+        # A delta that forms at A_j, 1 < j < k, has A_1 ... A_{j-1} left to
+        # carry and B_j ... B_k behind it.
+        inner = normal_form.left_weight_pair
+        calls = []
+
+        def recorded(a, b):
+            calls.append(b.is_delta)
+            return inner(a, b)
+
+        monkeypatch.setattr(normal_form, "left_weight_pair", recorded)
+        rng = random.Random(7411 * n)
+        found = 0
+        for _ in range(40):
+            form = lcf(random_braid_word(n, rng.randint(6, 16), rng, neg=0.3))
+            if form.canonical_length < 3:
+                continue
+            for f in enumerate_factors(n):
+                calls.clear()
+                product = right_multiply(form, f)
+                carried = sum(calls)
+                if carried and len(calls) - carried >= 2:
+                    found += 1
+                    # Once formed, the delta is carried all the way to the front.
+                    k = form.canonical_length
+                    assert calls == [False] * (k - carried) + [True] * carried
+                    r, fs = form.power, form.factors
+                    assert product == normalize_random_order(n, r, fs + (f,), rng)
+                    assert product.power == r + 1
+        assert found >= 10
 
     def test_strand_count_mismatch(self):
         form = lcf(random_braid_word(4, 5, random.Random(1)))

@@ -227,16 +227,29 @@ class TestNbReport:
                 rep = nb_report(w)
                 assert rep.nb_exact == -form.inf - min(0, form.sup)
 
-    def test_three_strand_formula_mismatch_raises(self, monkeypatch):
-        real_reduce = positivity.reduce
-
-        def one_delta_too_many(form):
-            rw = real_reduce(form)
-            return ReducedWord(rw.n, rw.power - 1, rw.entries)
-
-        monkeypatch.setattr(positivity, "reduce", one_delta_too_many)
+    def test_three_strand_formula_mismatch_raises(self):
+        # No normal form trips the check, so it is fed a form with an
+        # identity factor: the count reads 2, the formula 1.
+        bad = LeftCanonicalForm(3, -1, (enumerate_factors(3)[0],))
         with pytest.raises(RuntimeError, match="3-braid formula"):
-            nb_report(parse_word("A(2,1)", 3))
+            positivity._nb_from_form(bad)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_count_read_off_the_lengths(self, n):
+        # The count from the factor lengths is the negative letters of
+        # reduce(form), and the bound (n-2)|inf| - min(0, sup) is never smaller.
+        rng = random.Random(4099 * n)
+        negative = 0
+        for _ in range(60):
+            form = lcf(random_braid_word(n, rng.randint(1, 24), rng, neg=rng.random()))
+            report = positivity._nb_from_form(form)
+            if form.inf >= 0:
+                continue
+            negative += 1
+            count = count_negative_bands(reduce(form))
+            assert report.nb_upper == report.negative_band_count_of_reduced == count
+            assert (n - 2) * -form.inf - min(0, form.sup) >= count, form.text()
+        assert negative >= 20
 
     def test_strict_inequality_witness(self):
         # nb = 2 > |inf| = 1 for the two-negative-band word.
