@@ -14,13 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .conjugacy import (
-    BudgetExceededError,
-    are_conjugate,
-    resolve_budget,
-    sss_enumerate,
-    sss_representative,
-)
+from .conjugacy import BudgetExceededError, are_conjugate, sss_enumerate, sss_representative
 from .factors import (
     CanonicalFactor,
     enumerate_factors,
@@ -29,9 +23,8 @@ from .factors import (
     precedes,
     tau,
 )
-from .fdtc import fdtc_bounds
 from .normal_form import lcf, lcf_to_word, left_weight_pair
-from .positivity import _nb_from_form, _strictly_asqp_verdict
+from .positivity import braid_report
 from .render import render_svg
 from .words import MAX_STRANDS, ParseError, parse_word
 
@@ -129,30 +122,24 @@ def _cmd_conjugate(args) -> tuple[dict, str]:
 
 
 def _cmd_classify(args) -> tuple[dict, str]:
-    form = lcf(_word(args))
-    # Checked for every word: the walk that reads the budget runs only when inf_s = -1.
-    budget = resolve_budget(args.budget)
-    summit = sss_representative(form)
-    verdict = _strictly_asqp_verdict(summit, budget)
+    report = braid_report(_word(args), args.budget)
+    verdict = report.strictly_asqp
     payload = {
-        "sqp": form.inf >= 0,
-        "conj_sqp": summit.inf_conj >= 0,
-        "asqp_necessary": form.inf >= -1,
+        "sqp": report.sqp,
+        "conj_sqp": report.conj_sqp,
+        "asqp_necessary": report.asqp_necessary,
         "conj_strictly_asqp": verdict.holds,
         "conj_strictly_asqp_definitive": verdict.definitive,
-        "nb": _nb_from_form(form).to_json(),
-        "nb_class": _nb_from_form(summit.representative).to_json(),
+        "nb": report.nb.to_json(),
+        "nb_class": report.nb_class.to_json(),
     }
     human = "\n".join(f"{k}: {v}" for k, v in payload.items())
     return payload, human
 
 
 def _cmd_nb(args) -> tuple[dict, str]:
-    form = lcf(_word(args))
-    payload = {
-        "word_level": _nb_from_form(form).to_json(),
-        "class_level": _nb_from_form(sss_representative(form).representative).to_json(),
-    }
+    report = braid_report(_word(args))
+    payload = {"word_level": report.nb.to_json(), "class_level": report.nb_class.to_json()}
     human = "\n".join(
         f"{scope}: lower={rep['lower']} upper={rep['upper']} exact={rep['exact']}"
         for scope, rep in payload.items()
@@ -161,8 +148,7 @@ def _cmd_nb(args) -> tuple[dict, str]:
 
 
 def _cmd_fdtc(args) -> tuple[dict, str]:
-    interval = fdtc_bounds(_word(args))
-    payload = interval.to_json()
+    payload = braid_report(_word(args)).fdtc.to_json()
     human = f"c(b) in [{payload['lower']}, {payload['upper']}]"
     if payload["exact"] is not None:
         human += f" (exact: {payload['exact']})"

@@ -7,9 +7,10 @@ powers sandwich any normal form, the class invariants bound it:
 
     inf[beta] / n  <=  c(beta)  <=  sup[beta] / n.
 
-Only the bounds are computed here; exact FDTC values (train-track work) are
-out of scope and appear in the tests as fixtures that the intervals must
-contain.  All arithmetic is exact rational.
+Only the bounds are computed (BraidReport.fdtc, from the summit
+representative); exact FDTC values (train-track work) are out of scope and
+appear in the tests as fixtures that the intervals must contain.  All
+arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from .conjugacy import sss_representative
-from .words import BraidWord
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,7 @@ class FdtcInterval:
 
     @property
     def pinched(self) -> Optional[Fraction]:
+        """The FDTC itself when the interval degenerates (e.g. central powers)."""
         return self.lower if self.lower == self.upper else None
 
     def to_json(self) -> dict:
@@ -47,14 +46,3 @@ class FdtcInterval:
             "upper": str(self.upper),
             "exact": str(exact) if exact is not None else None,
         }
-
-
-def fdtc_bounds(w: BraidWord) -> FdtcInterval:
-    """The interval [inf[beta]/n, sup[beta]/n] around the FDTC."""
-    data = sss_representative(w)
-    return FdtcInterval(Fraction(data.inf_conj, w.n), Fraction(data.sup_conj, w.n))
-
-
-def fdtc_exact_if_pinched(w: BraidWord) -> Optional[Fraction]:
-    """The FDTC itself when the interval degenerates (e.g. central powers)."""
-    return fdtc_bounds(w).pinched

@@ -5,17 +5,19 @@ A braid is strongly quasipositive (SQP) when some band word for it has no
 negative letters; that happens exactly when inf >= 0.  Almost strongly
 quasipositive (ASQP) allows one negative band and forces inf >= -1, with
 inf = -1 in the strict case; the converse needs the super summit criterion
-implemented in is_conj_strictly_asqp.
+below.  braid_report(w) holds every answer about w, each computed when
+first read.
 
 That criterion asks for one super summit element x = delta^-1 A_1 ... A_k
-with a factor A_j of word length n-2.  Its complement is a single band b,
-and delta^-1 A_1 ... A_j = tau(A_1 ... A_{j-1}) b^-1, so
-x = tau(A_1 ... A_{j-1}) b^-1 A_{j+1} ... A_k has exactly one negative band:
-a qualifying element certifies the class at every n.  The test walks the
-set from the summit representative and stops at the first element that
-qualifies, which is usually the representative itself.  For n <= 4 the
-criterion is also necessary, so a False verdict is definitive there; for
-n >= 5 it is inconclusive.
+whose closed-form negative-band count (below) is 1.  For n >= 3 that is a
+factor A_j of word length n-2: its complement is a single band b, and
+delta^-1 A_1 ... A_j = tau(A_1 ... A_{j-1}) b^-1, so
+x = tau(A_1 ... A_{j-1}) b^-1 A_{j+1} ... A_k has exactly one negative band;
+at n = 2, x = delta^-1 itself.  A qualifying element certifies the class at
+every n.  The test walks the set from the summit representative and stops
+at the first element that qualifies, which is usually the representative
+itself.  For n <= 4 the criterion is also necessary, so a False verdict is
+definitive there; for n >= 5 it is inconclusive.
 
 nb(beta) is the minimal number of negative bands over all band words.  The
 reduction trades each leading delta^-1 against a longest positive entry,
@@ -32,10 +34,13 @@ length >= 1, the count is at most (n-2)|inf| - min(0, sup), equal (checked) at n
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
-from .conjugacy import SummitData, _sss_walk, sss_representative
+from .conjugacy import SummitData, _sss_walk, resolve_budget, sss_representative
 from .factors import complement, tau
+from .fdtc import FdtcInterval
 from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
@@ -120,25 +125,6 @@ def count_negative_bands(x: Union[BraidWord, ReducedWord]) -> int:
     return delta_part + sum(f.word_length for f, sign in x.entries if sign < 0)
 
 
-def is_sqp(w: BraidWord) -> bool:
-    """Strongly quasipositive: inf >= 0."""
-    return lcf(w).inf >= 0
-
-
-def is_conj_sqp(w: BraidWord) -> bool:
-    """Conjugate to an SQP braid: inf over the conjugacy class >= 0."""
-    return sss_representative(w).inf_conj >= 0
-
-
-def asqp_necessary(w: BraidWord) -> bool:
-    """The necessary ASQP condition inf >= -1.
-
-    One negative band contributes at most one delta^-1, so every ASQP braid
-    passes; the converse fails in general (nb can exceed 1 at inf = -1).
-    """
-    return lcf(w).inf >= -1
-
-
 @dataclass(frozen=True)
 class NbReport:
     """Bounds (and, for n <= 4, the exact value) of the negative band number."""
@@ -176,22 +162,6 @@ def _nb_from_form(form: LeftCanonicalForm) -> NbReport:
     return NbReport(-inf, reduced_count, exact, reduced_count)
 
 
-def nb_report(w: BraidWord) -> NbReport:
-    """Negative-band bounds for the braid itself."""
-    return _nb_from_form(lcf(w))
-
-
-def nb_conjugacy_report(w: BraidWord) -> NbReport:
-    """Negative-band bounds for the conjugacy class, via a summit element.
-
-    Exact for n = 3 (closed formula in inf and sup of the class) and n = 4
-    (reduction of a summit representative gives a shortest conjugate word).
-    One representative suffices; no set enumeration happens here.
-    """
-    data = sss_representative(w)
-    return _nb_from_form(data.representative)
-
-
 @dataclass(frozen=True)
 class AsqpCertificate:
     """Proof that a braid beta is conjugate to a braid with one negative band.
@@ -218,12 +188,11 @@ class AsqpCertificate:
 class StrictAsqpVerdict:
     """Outcome of the strictly-ASQP conjugacy test.
 
-    holds: some super summit element x = delta^-1 A_1 ... A_k has a factor
-    A_j of word length n-2.  Then complement(A_j) is one band b, and
-    x = tau(A_1 ... A_{j-1}) b^-1 A_{j+1} ... A_k has exactly one negative
-    band, so holding is definitive at every n and comes with the
-    certificate.  For n <= 4 the criterion is also necessary, so False is
-    definitive too; for n >= 5 a False verdict is inconclusive.
+    holds: some super summit element has closed-form negative-band count 1
+    (module docstring), so it spells a word with one negative band; holding
+    is definitive at every n and comes with the certificate.  For n <= 4 the
+    criterion is also necessary, so False is definitive too; for n >= 5 a
+    False verdict is inconclusive.
     """
 
     holds: bool
@@ -234,19 +203,79 @@ class StrictAsqpVerdict:
         return self.holds
 
 
-def is_conj_strictly_asqp(w: BraidWord, budget: Optional[int] = None) -> StrictAsqpVerdict:
-    """Test conjugacy to a braid with exactly one negative band."""
-    return _strictly_asqp_verdict(sss_representative(w), budget)
+@dataclass(frozen=True)
+class BraidReport:
+    """Every answer about one braid, from its normal form and one summit search.
+
+    Build it with braid_report().  Each answer is computed on first read and
+    then kept: sqp, asqp_necessary and nb read only form; conj_sqp, nb_class
+    and fdtc read summit; strictly_asqp alone walks the super summit set,
+    within budget elements.
+    """
+
+    form: LeftCanonicalForm
+    budget: int
+
+    @cached_property
+    def summit(self) -> SummitData:
+        return sss_representative(self.form)
+
+    @cached_property
+    def sqp(self) -> bool:
+        """Strongly quasipositive: inf >= 0."""
+        return self.form.inf >= 0
+
+    @cached_property
+    def conj_sqp(self) -> bool:
+        """Conjugate to an SQP braid: inf over the conjugacy class >= 0."""
+        return self.summit.inf_conj >= 0
+
+    @cached_property
+    def asqp_necessary(self) -> bool:
+        """The necessary ASQP condition inf >= -1.
+
+        One negative band contributes at most one delta^-1, so every ASQP braid
+        passes; the converse fails in general (nb can exceed 1 at inf = -1).
+        """
+        return self.form.inf >= -1
+
+    @cached_property
+    def nb(self) -> NbReport:
+        """Negative-band bounds for the braid itself."""
+        return _nb_from_form(self.form)
+
+    @cached_property
+    def nb_class(self) -> NbReport:
+        """Negative-band bounds for the conjugacy class, from the summit representative.
+
+        Exact for n = 3 (closed formula in inf and sup of the class) and n = 4
+        (reduction of a summit representative gives a shortest conjugate word).
+        """
+        return _nb_from_form(self.summit.representative)
+
+    @cached_property
+    def fdtc(self) -> FdtcInterval:
+        """The interval [inf[beta]/n, sup[beta]/n] around the FDTC."""
+        n, data = self.form.n, self.summit
+        return FdtcInterval(Fraction(data.inf_conj, n), Fraction(data.sup_conj, n))
+
+    @cached_property
+    def strictly_asqp(self) -> StrictAsqpVerdict:
+        """Conjugacy to a braid with exactly one negative band.
+
+        Walks the super summit set from the representative and stops at the
+        first element whose closed-form negative-band count is 1.
+        """
+        data = self.summit
+        if data.inf_conj == -1:
+            for element, steps in _sss_walk(data, self.budget):
+                if _nb_from_form(element).nb_upper == 1:
+                    # reduce makes the one trade, at the leftmost longest factor.
+                    certificate = AsqpCertificate(data.witness_steps + steps, reduce(element))
+                    return StrictAsqpVerdict(True, True, certificate)
+        return StrictAsqpVerdict(False, self.form.n <= 4)
 
 
-def _strictly_asqp_verdict(data: SummitData, budget: Optional[int]) -> StrictAsqpVerdict:
-    """Walk the super summit set from the representative; stop at the first element that qualifies."""
-    n = data.representative.n
-    if data.inf_conj == -1:
-        for element, steps in _sss_walk(data, budget):
-            if any(f.word_length == n - 2 for f in element.factors):
-                # The factors of length n - 2 are the longest ones, so reduce
-                # makes the one trade at the leftmost of them.
-                certificate = AsqpCertificate(data.witness_steps + steps, reduce(element))
-                return StrictAsqpVerdict(True, True, certificate)
-    return StrictAsqpVerdict(False, n <= 4)
+def braid_report(w: BraidWord, budget: Optional[int] = None) -> BraidReport:
+    """The report on w: lcf(w) and the checked budget now, each answer when first read."""
+    return BraidReport(lcf(w), resolve_budget(budget))

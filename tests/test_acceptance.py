@@ -21,13 +21,7 @@ from bandforge.normal_form import (
     lcf_to_word,
     left_weight_pair,
 )
-from bandforge.positivity import (
-    ReducedWord,
-    count_negative_bands,
-    nb_conjugacy_report,
-    reduce,
-)
-from bandforge.fdtc import fdtc_bounds, fdtc_exact_if_pinched
+from bandforge.positivity import ReducedWord, braid_report, count_negative_bands, reduce
 from bandforge.words import BandLetter, BraidWord
 
 from conftest import (
@@ -167,7 +161,7 @@ def test_criterion_06_conjugacy_examples():
 
     data = sss_representative(w4(TWO_BAND_WORD))
     assert data.inf_conj == -1
-    report = nb_conjugacy_report(w4(TWO_BAND_WORD))
+    report = braid_report(w4(TWO_BAND_WORD)).nb_class
     assert report.nb_lower == 1 and report.nb_upper == 2
     assert report.nb_lower <= 2 <= report.nb_upper  # the proved value lies inside
     clock.done(
@@ -283,11 +277,11 @@ def test_criterion_10_fdtc_fixtures():
 
     for left, right, value in TWO_FACTOR_FDTC:
         w = w4(f"{WORDS[left]} {WORDS[right]}")
-        assert fdtc_bounds(w).contains(Fraction(value)), (left, right)
-    assert fdtc_exact_if_pinched(w4("d")) == Fraction(1, 4)
-    assert fdtc_exact_if_pinched(w4("d^4")) == 1
+        assert braid_report(w).fdtc.contains(Fraction(value)), (left, right)
+    assert braid_report(w4("d")).fdtc.pinched == Fraction(1, 4)
+    assert braid_report(w4("d^4")).fdtc.pinched == 1
     for f in enumerate_factors(4):
-        interval = fdtc_bounds(factor_to_word(f))
+        interval = braid_report(factor_to_word(f)).fdtc
         assert interval.contains(Fraction(0)) or f.is_delta
         if not (f.is_identity or f.is_delta):
             assert (interval.lower, interval.upper) == (0, Fraction(1, 4))

@@ -10,7 +10,6 @@ import pytest
 
 import bandforge.cli
 import bandforge.conjugacy
-import bandforge.fdtc
 import bandforge.normal_form
 import bandforge.positivity
 from bandforge.cli import run
@@ -141,9 +140,9 @@ class TestAnalysisCommands:
         for module in (bandforge.cli, bandforge.conjugacy, bandforge.positivity):
             monkeypatch.setattr(module, "lcf", counted(calls, "lcf", module.lcf))
         monkeypatch.setattr(
-            bandforge.cli,
+            bandforge.positivity,
             "sss_representative",
-            counted(calls, "sss_representative", bandforge.cli.sss_representative),
+            counted(calls, "sss_representative", bandforge.positivity.sss_representative),
         )
         capture([command, "-n", "4", "a1 a2 b1", "--json"])
         assert calls == {"lcf": 1, "sss_representative": 1}
@@ -167,8 +166,8 @@ class TestAnalysisCommands:
 
             return wrapper
 
-        for module in (bandforge.cli, bandforge.fdtc):
-            monkeypatch.setattr(module, "sss_representative", recorded(module.sss_representative))
+        search = bandforge.positivity.sss_representative
+        monkeypatch.setattr(bandforge.positivity, "sss_representative", recorded(search))
         capture([command, "-n", "4", KNOT_7_2_WORD, "--json"])
         assert calls == {} and len(summits) == 1
         monkeypatch.undo()
@@ -182,7 +181,7 @@ class TestAnalysisCommands:
         # settles conj_strictly_asqp; its super summit set has more
         # elements, and none may be conjugated into.
         calls = Counter()
-        search = bandforge.cli.sss_representative
+        search = bandforge.positivity.sss_representative
 
         def search_then_count(w):
             data = search(w)
@@ -191,12 +190,28 @@ class TestAnalysisCommands:
                 monkeypatch.setattr(bandforge.conjugacy, name, counter)
             return data
 
-        monkeypatch.setattr(bandforge.cli, "sss_representative", search_then_count)
+        monkeypatch.setattr(bandforge.positivity, "sss_representative", search_then_count)
         data = json.loads(capture(["classify", "-n", "4", "A1", "--json"]))
         assert data["conj_strictly_asqp"] is True
         assert calls == {}
         monkeypatch.undo()
         assert len(bandforge.conjugacy.sss_enumerate(search(w4("A1")))) > 1
+
+    @pytest.mark.parametrize("command", ["nb", "fdtc"])
+    def test_nb_and_fdtc_walk_no_summit_set(self, command, monkeypatch):
+        # inf_s = -1, so classify walks the super summit set; nb and fdtc
+        # must not start that walk at all.
+        w = w4(TWO_BAND_WORD)
+        assert bandforge.positivity.sss_representative(w).inf_conj == -1
+        calls = Counter()
+        walk = bandforge.positivity._sss_walk
+        monkeypatch.setattr(bandforge.positivity, "_sss_walk", counted(calls, "_sss_walk", walk))
+        capture(["classify", "-n", "4", TWO_BAND_WORD, "--json"])
+        assert calls == {"_sss_walk": 1}
+        calls.clear()
+        capture([command, "-n", "4", TWO_BAND_WORD, "--json"])
+        capture([command, "-n", "4", TWO_BAND_WORD])
+        assert calls == {}
 
     def test_fdtc(self):
         data = json.loads(capture(["fdtc", "-n", "4", "d a1", "--json"]))

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bandforge.factors import enumerate_factors, factor_to_word
-from bandforge.fdtc import FdtcInterval, fdtc_bounds, fdtc_exact_if_pinched
+from bandforge.fdtc import FdtcInterval
+from bandforge.positivity import braid_report
 from bandforge.words import parse_word
 
 from conftest import random_braid_word, w4
@@ -37,33 +38,33 @@ class TestFixtures:
     @pytest.mark.parametrize("left,right,value", TWO_FACTOR_FDTC)
     def test_two_factor_products(self, left, right, value):
         w = w4(f"{WORDS[left]} {WORDS[right]}")
-        interval = fdtc_bounds(w)
+        interval = braid_report(w).fdtc
         assert interval.contains(Fraction(value)), (left, right, interval)
 
     def test_delta_pinched(self):
-        assert fdtc_exact_if_pinched(w4("d")) == Fraction(1, 4)
+        assert braid_report(w4("d")).fdtc.pinched == Fraction(1, 4)
 
     def test_full_twist_pinched(self):
-        assert fdtc_exact_if_pinched(w4("d^4")) == 1
-        assert fdtc_exact_if_pinched(parse_word("d^3", 3)) == 1
+        assert braid_report(w4("d^4")).fdtc.pinched == 1
+        assert braid_report(parse_word("d^3", 3)).fdtc.pinched == 1
 
     def test_nontrivial_factors_bracket_zero(self):
         for f in enumerate_factors(4):
             if f.is_identity or f.is_delta:
                 continue
-            interval = fdtc_bounds(factor_to_word(f))
+            interval = braid_report(factor_to_word(f)).fdtc
             assert interval.lower == 0 and interval.upper == Fraction(1, 4)
 
     def test_identity_interval(self):
-        interval = fdtc_bounds(w4(""))
+        interval = braid_report(w4("")).fdtc
         assert interval.pinched == 0
 
     def test_delta_times_a1_bounds(self):
-        interval = fdtc_bounds(w4("d a1"))
+        interval = braid_report(w4("d a1")).fdtc
         assert interval.lower == Fraction(1, 4) and interval.upper == Fraction(1, 2)
 
     def test_generic_word_not_pinched(self):
-        assert fdtc_exact_if_pinched(w4("b1 b2")) is None
+        assert braid_report(w4("b1 b2")).fdtc.pinched is None
 
 
 class TestProperties:
@@ -71,18 +72,18 @@ class TestProperties:
         for _ in range(40):
             w = random_braid_word(4, rng.randint(1, 6), rng, neg=0.3)
             v = random_braid_word(4, rng.randint(0, 3), rng, neg=0.5)
-            assert fdtc_bounds(w) == fdtc_bounds(w.conjugated_by(v))
+            assert braid_report(w).fdtc == braid_report(w.conjugated_by(v)).fdtc
 
     def test_central_powers_scale(self):
         for k in (1, 2, 3):
-            interval = fdtc_bounds(w4(f"d^{4 * k}"))
+            interval = braid_report(w4(f"d^{4 * k}")).fdtc
             assert interval.pinched == k
 
     def test_denominators_divide_n(self, rng):
         for _ in range(30):
             n = rng.randint(2, 5)
             w = random_braid_word(n, rng.randint(0, 6), rng, neg=0.4)
-            interval = fdtc_bounds(w)
+            interval = braid_report(w).fdtc
             assert n % interval.lower.denominator == 0
             assert n % interval.upper.denominator == 0
 
@@ -91,5 +92,5 @@ class TestProperties:
             FdtcInterval(Fraction(1), Fraction(0))
 
     def test_json_rendering(self):
-        payload = fdtc_bounds(w4("d a1")).to_json()
+        payload = braid_report(w4("d a1")).fdtc.to_json()
         assert payload == {"lower": "1/4", "upper": "1/2", "exact": None}

@@ -8,25 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandforge import positivity
+from bandforge import conjugacy, positivity
 from bandforge.conjugacy import sss_enumerate, sss_representative
 from bandforge.factors import enumerate_factors, gen_factor
 from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_to_word
-from bandforge.positivity import (
-    ReducedWord,
-    asqp_necessary,
-    count_negative_bands,
-    is_conj_sqp,
-    is_conj_strictly_asqp,
-    is_sqp,
-    nb_conjugacy_report,
-    nb_report,
-    reduce,
-)
+from bandforge.positivity import ReducedWord, braid_report, count_negative_bands, reduce
 from bandforge.words import BraidWord, parse_word
 
 from conftest import (
     b4,
+    counted,
     insert_cancellation,
     insert_relator,
     random_braid_word,
@@ -46,34 +37,35 @@ REDUCTION_INPUT = "d^-2 a(4,3) a(3,2) a(4,1) a(4,3) a(4,1) a(3,1) a(4,2)"
 class TestSqp:
     def test_positive_words(self, rng):
         for _ in range(50):
-            assert is_sqp(random_braid_word(4, rng.randint(0, 10), rng))
+            assert braid_report(random_braid_word(4, rng.randint(0, 10), rng)).sqp
 
     def test_knot72_word_not_sqp(self):
-        assert not is_sqp(w4(KNOT_7_2_WORD))
+        assert not braid_report(w4(KNOT_7_2_WORD)).sqp
 
     def test_single_negative_band(self):
-        assert not is_sqp(w4("A1"))
+        assert not braid_report(w4("A1")).sqp
 
     def test_conjugacy_level(self):
-        assert is_conj_sqp(w4(KNOT_7_2_WORD))
-        assert is_conj_sqp(w4(KNOT_7_2_POSITIVE))
-        assert not is_conj_sqp(w4("D"))
+        assert braid_report(w4(KNOT_7_2_WORD)).conj_sqp
+        assert braid_report(w4(KNOT_7_2_POSITIVE)).conj_sqp
+        assert not braid_report(w4("D")).conj_sqp
 
 
 class TestAsqpNecessary:
     def test_nb2_word_passes_despite_nb2(self):
         # inf = -1 holds, yet two negative bands are required: the
         # condition is necessary, not sufficient.
-        assert asqp_necessary(w4(TWO_BAND_WORD))
-        assert nb_report(w4(TWO_BAND_WORD)).nb_exact == 2
+        report = braid_report(w4(TWO_BAND_WORD))
+        assert report.asqp_necessary
+        assert report.nb.nb_exact == 2
 
     def test_positive_words(self, rng):
         for _ in range(30):
-            assert asqp_necessary(random_braid_word(4, rng.randint(0, 8), rng))
+            assert braid_report(random_braid_word(4, rng.randint(0, 8), rng)).asqp_necessary
 
     def test_inf_minus_two_fails(self):
         deep = lcf_to_word(LeftCanonicalForm(4, -2, ()))
-        assert not asqp_necessary(deep * w4("a1 A1"))
+        assert not braid_report(deep * w4("a1 A1")).asqp_necessary
 
 
 class TestReduce:
@@ -193,15 +185,15 @@ class TestCounts:
 
 class TestNbReport:
     def test_nb2_word(self):
-        rep = nb_report(w4(TWO_BAND_WORD))
+        rep = braid_report(w4(TWO_BAND_WORD)).nb
         assert (rep.nb_lower, rep.nb_upper, rep.nb_exact) == (1, 2, 2)
 
     def test_positive_word(self):
-        rep = nb_report(w4("a1 b2"))
+        rep = braid_report(w4("a1 b2")).nb
         assert (rep.nb_lower, rep.nb_upper, rep.nb_exact) == (0, 0, 0)
 
     def test_single_negative(self):
-        rep = nb_report(w4("A1"))
+        rep = braid_report(w4("A1")).nb
         assert (rep.nb_lower, rep.nb_upper, rep.nb_exact) == (1, 1, 1)
 
     def test_lower_bound_inequality(self, rng):
@@ -210,7 +202,7 @@ class TestNbReport:
             form = lcf(w)
             if form.inf >= 0:
                 continue
-            rep = nb_report(w)
+            rep = braid_report(w).nb
             assert rep.nb_lower == -form.inf <= rep.negative_band_count_of_reduced
 
     def test_three_strand_formula_exhaustive_short(self):
@@ -224,7 +216,7 @@ class TestNbReport:
                 form = lcf(w)
                 if form.inf >= 0:
                     continue
-                rep = nb_report(w)
+                rep = braid_report(w).nb
                 assert rep.nb_exact == -form.inf - min(0, form.sup)
 
     def test_three_strand_formula_mismatch_raises(self):
@@ -253,17 +245,17 @@ class TestNbReport:
 
     def test_strict_inequality_witness(self):
         # nb = 2 > |inf| = 1 for the two-negative-band word.
-        rep = nb_report(w4(TWO_BAND_WORD))
+        rep = braid_report(w4(TWO_BAND_WORD)).nb
         assert rep.nb_exact > -lcf(w4(TWO_BAND_WORD)).inf
 
 
 class TestNbConjugacyReport:
     def test_sqp_class(self):
-        rep = nb_conjugacy_report(w4(KNOT_7_2_WORD))
+        rep = braid_report(w4(KNOT_7_2_WORD)).nb_class
         assert (rep.nb_lower, rep.nb_upper, rep.nb_exact) == (0, 0, 0)
 
     def test_nb2_class(self):
-        rep = nb_conjugacy_report(w4(TWO_BAND_WORD))
+        rep = braid_report(w4(TWO_BAND_WORD)).nb_class
         assert rep.nb_lower == 1 and rep.nb_upper == 2 and rep.nb_exact == 2
 
     def test_three_strand_class_formula(self, rng):
@@ -274,7 +266,7 @@ class TestNbConjugacyReport:
             data = sss_representative(w)
             if data.inf_conj >= 0:
                 continue
-            rep = nb_conjugacy_report(w)
+            rep = braid_report(w).nb_class
             assert rep.nb_exact == -data.inf_conj - min(0, data.sup_conj)
 
     def test_three_strand_class_brute_force(self):
@@ -286,33 +278,34 @@ class TestNbConjugacyReport:
         w = parse_word("S1 s2 S1 s2", 3)
         data = sss_representative(w)
         assert data.inf_conj < 0
-        rep = nb_conjugacy_report(w)
+        rep = braid_report(w).nb_class
         assert rep.nb_exact == -data.inf_conj - min(0, data.sup_conj)
         letters = [
             BandLetter(t, s, sign) for t, s in ((2, 1), (3, 2), (3, 1)) for sign in (1, -1)
         ]
-        best = nb_report(w).nb_exact
+        best = braid_report(w).nb.nb_exact
         for length in range(3):
             for combo in itertools.product(letters, repeat=length):
                 conj = w.conjugated_by(BraidWord(3, combo))
-                best = min(best, nb_report(conj).nb_exact)
+                best = min(best, braid_report(conj).nb.nb_exact)
         assert best == rep.nb_exact
 
     def test_class_invariant_under_conjugation(self, rng):
         for _ in range(25):
             w = random_braid_word(4, rng.randint(1, 6), rng, neg=0.4)
             v = random_braid_word(4, rng.randint(0, 3), rng, neg=0.5)
-            assert nb_conjugacy_report(w) == nb_conjugacy_report(w.conjugated_by(v))
+            assert braid_report(w).nb_class == braid_report(w.conjugated_by(v)).nb_class
 
     def test_class_bound_never_exceeds_word_bound(self, rng):
         for _ in range(40):
             w = random_braid_word(4, rng.randint(1, 7), rng, neg=0.4)
-            assert nb_conjugacy_report(w).nb_upper <= nb_report(w).nb_upper
+            report = braid_report(w)
+            assert report.nb_class.nb_upper <= report.nb.nb_upper
 
 
 class TestHigherStrandCounts:
     def test_nb_exact_withheld_beyond_four(self):
-        rep = nb_report(parse_word("A(2,1)", 5))
+        rep = braid_report(parse_word("A(2,1)", 5)).nb
         assert rep.nb_exact is None
         # The bounds still pinch here: the reduction recovers the single
         # negative band the word started with.
@@ -326,32 +319,44 @@ class TestHigherStrandCounts:
     def test_bounds_still_sound(self, rng):
         for _ in range(30):
             w = random_braid_word(5, rng.randint(1, 6), rng, neg=0.4)
-            rep = nb_report(w)
+            rep = braid_report(w).nb
             assert rep.nb_lower <= rep.nb_upper
             assert rep.nb_exact is None or lcf(w).inf >= 0
 
 
 class TestStrictlyAsqp:
     def test_single_negative_generator_b3(self):
-        verdict = is_conj_strictly_asqp(parse_word("A(2,1)", 3))
+        verdict = braid_report(parse_word("A(2,1)", 3)).strictly_asqp
         assert verdict.holds and verdict.definitive
 
     def test_nb2_word_fails(self):
-        verdict = is_conj_strictly_asqp(w4(TWO_BAND_WORD))
+        verdict = braid_report(w4(TWO_BAND_WORD)).strictly_asqp
         assert not verdict.holds and verdict.definitive
 
     def test_sqp_class_fails(self):
-        verdict = is_conj_strictly_asqp(w4(KNOT_7_2_POSITIVE))
+        verdict = braid_report(w4(KNOT_7_2_POSITIVE)).strictly_asqp
         assert not verdict.holds and verdict.definitive
 
     def test_single_negative_generator_b4(self):
-        assert is_conj_strictly_asqp(w4("A1")).holds
+        assert braid_report(w4("A1")).strictly_asqp.holds
 
     def test_high_strand_sufficient_only(self):
-        verdict = is_conj_strictly_asqp(parse_word("A(2,1)", 5))
+        verdict = braid_report(parse_word("A(2,1)", 5)).strictly_asqp
         # Criterion holds, and holding makes the verdict definitive even
         # beyond four strands.
         assert verdict.holds and verdict.definitive
+
+    @pytest.mark.parametrize("text,holds", [("A(2,1)", True), ("A(2,1)^2", False), ("a(2,1)", False)])
+    def test_two_strands(self, text, holds):
+        # At n = 2 the qualifying element is delta^-1 = a(2,1)^-1 itself,
+        # which has no factor at all.
+        w = parse_word(text, 2)
+        verdict = braid_report(w).strictly_asqp
+        assert (verdict.holds, verdict.definitive) == (holds, True)
+        if holds:
+            certificate = verdict.certificate
+            assert len(certificate.word) == 1 and count_negative_bands(certificate.word) == 1
+            assert lcf(w.conjugated_by(certificate.conjugator)) == lcf(certificate.word)
 
     def test_constructed_strict_asqp_words(self, rng):
         # positive word * one negative generator, checked not SQP first.
@@ -360,11 +365,46 @@ class TestStrictlyAsqp:
             w = random_braid_word(4, rng.randint(0, 4), rng)
             neg = random_braid_word(4, 1, rng, neg=1.0)
             candidate = w * neg
-            if is_conj_sqp(candidate):
+            report = braid_report(candidate)
+            if report.conj_sqp:
                 continue
             found += 1
-            assert is_conj_strictly_asqp(candidate).holds
+            assert report.strictly_asqp.holds
         assert found >= 5
+
+
+class TestBraidReport:
+    FIELDS = ("sqp", "conj_sqp", "asqp_necessary", "nb", "nb_class", "fdtc", "strictly_asqp")
+
+    @staticmethod
+    def count_searches(monkeypatch) -> Counter:
+        calls = Counter()
+        for module in (positivity, conjugacy):
+            monkeypatch.setattr(module, "lcf", counted(calls, "lcf", module.lcf))
+        search = counted(calls, "sss_representative", positivity.sss_representative)
+        monkeypatch.setattr(positivity, "sss_representative", search)
+        return calls
+
+    @pytest.mark.parametrize("text", [TWO_BAND_WORD, "A1", KNOT_7_2_WORD, "D", ""])
+    def test_one_form_and_one_summit(self, text, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        report = braid_report(w4(text))
+        answers = [getattr(report, name) for name in self.FIELDS]
+        # A second read returns the kept answer.
+        assert all(getattr(report, name) is a for name, a in zip(self.FIELDS, answers))
+        assert calls == {"lcf": 1, "sss_representative": 1}
+
+    def test_word_level_fields_run_no_summit(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        report = braid_report(w4(TWO_BAND_WORD))
+        assert (report.sqp, report.asqp_necessary, report.nb.nb_exact) == (False, True, 2)
+        assert calls == {"lcf": 1}
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_checked_at_once(self, budget):
+        # Also for a positive word, whose answers never read the budget.
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            braid_report(w4("a1"), budget)
 
 
 class TestStrictlyAsqpAgainstAllRule:
@@ -397,7 +437,7 @@ class TestStrictlyAsqpAgainstAllRule:
     def test_seeded_corpus(self):
         gains = Counter()
         for w in self.corpus():
-            verdict = is_conj_strictly_asqp(w)
+            verdict = braid_report(w).strictly_asqp
             data = sss_representative(w)
             reference = strictly_asqp_by_all(data)
             if w.n <= 4:
@@ -442,7 +482,8 @@ class TestNbProperties:
     def test_bounds_hold(self, data):
         n = data.draw(st.sampled_from((3, 4)), label="n")
         w = data.draw(sparse_words(n), label="word")
-        word, summit = nb_report(w), nb_conjugacy_report(w)
+        report = braid_report(w)
+        word, summit = report.nb, report.nb_class
         for report in (word, summit):
             assert report.nb_lower <= report.nb_exact <= report.nb_upper
         assert word.nb_exact <= sum(l.sign < 0 for l in w.letters)
