@@ -14,7 +14,13 @@ import json
 import sys
 from typing import Optional
 
-from .conjugacy import BudgetExceededError, are_conjugate, sss_enumerate, sss_representative
+from .conjugacy import (
+    BudgetExceededError,
+    are_conjugate,
+    resolve_budget,
+    sss_enumerate,
+    sss_representative,
+)
 from .factors import (
     CanonicalFactor,
     enumerate_factors,
@@ -88,7 +94,9 @@ def _cmd_lcf(args) -> tuple[dict, str]:
 
 
 def _cmd_sss(args) -> tuple[dict, str]:
-    data = sss_representative(_word(args))
+    w = _word(args)
+    budget = resolve_budget(args.budget)
+    data = sss_representative(w)
     payload = {
         "representative": data.representative.to_json(),
         "inf_conj": data.inf_conj,
@@ -100,7 +108,7 @@ def _cmd_sss(args) -> tuple[dict, str]:
         f"inf[b]={data.inf_conj} sup[b]={data.sup_conj}",
     ]
     if args.enumerate:
-        elements = sss_enumerate(data, args.budget)
+        elements = sss_enumerate(data, budget)
         payload["size"] = len(elements)
         payload["elements"] = sorted(lcf_to_word(e).render() for e in elements)
         lines.append(f"size: {len(elements)}")
@@ -292,7 +300,7 @@ def run(argv: list[str], out=None) -> int:
     except (BudgetExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

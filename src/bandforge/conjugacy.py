@@ -64,15 +64,17 @@ Three exact facts keep the closure small:
 Conjugation convention: conjugate(w, v) = v^-1 w v.  Every conjugator is
 held as signed-factor steps that compose left to right along the search
 path: (f, 1) for f and (f, -1) for f^-1.  The summit search records one step
-per cycling or decycling step; the closure records (f, 1) per conjugating
-factor and (delta, 1) per tau-shift.  No word is built until a witness is
-read; then normal_form.signed_word spells the steps out as letters and the
-word is freely reduced.
+per cycling or decycling step (SummitData.witness_steps); the closure
+records (f, 1) per conjugating factor and (delta, 1) per tau-shift, and
+sss_enumerate returns the set as one mapping from each element to those
+steps.  No word is built until a witness is read; then
+normal_form.signed_word spells the steps out as letters and the word is
+freely reduced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .factors import CanonicalFactor, delta_factor, enumerate_factors, precedes, tau
@@ -85,7 +87,7 @@ from .normal_form import (
     right_multiply,
     signed_word,
 )
-from .words import BraidWord, writhe
+from .words import BraidWord
 
 DEFAULT_SSS_BUDGET = 100_000
 
@@ -134,26 +136,19 @@ def _decycling_step(form: LeftCanonicalForm) -> SignedFactor:
     return form.factors[-1], -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SummitData:
-    """A super summit representative plus (optionally) the enumerated set.
+    """A super summit representative and the conjugator that reaches it.
 
     witness_steps is the conjugator from the original word to the
     representative, one (factor, sign) step per cycling or decycling step.
-    sss_witnesses maps each enumerated element to the steps of a conjugator
-    from the representative: (f, 1) per conjugating factor and (delta, 1)
-    per tau-shift.  Those conjugators are not unique: an element reached
-    through the tau-orbit of another has one that ends in delta^k.  Steps
-    become a word only through signed_word, as the witness property does on
-    each read; inf_conj and sup_conj are read off the representative.
+    Steps become a word only through signed_word, as the witness property
+    does on each read; inf_conj and sup_conj are read off the
+    representative.  The set itself is sss_enumerate's return value.
     """
 
     representative: LeftCanonicalForm
     witness_steps: tuple[SignedFactor, ...]
-    sss: Optional[frozenset[LeftCanonicalForm]] = None
-    sss_witnesses: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = field(
-        default_factory=dict
-    )
 
     @property
     def inf_conj(self) -> int:
@@ -271,17 +266,15 @@ def _sss_walk(
 
 def sss_enumerate(
     data: SummitData, budget: Optional[int] = None
-) -> frozenset[LeftCanonicalForm]:
-    """Close the representative under canonical-factor conjugation.
+) -> dict[LeftCanonicalForm, tuple[SignedFactor, ...]]:
+    """The super summit set, each element mapped to its steps from the representative.
 
-    Keeps exactly the conjugates with (inf, sup) = (inf_conj, sup_conj); the
-    closure is the full super summit set, independent of the representative.
-    Drains _sss_walk and records each element's steps in data.sss_witnesses.
+    The keys are the closure of the representative under canonical-factor
+    conjugation, in walk order with the representative first (steps ()).
+    Steps are not unique: an element reached through the tau-orbit of
+    another has a conjugator that ends in delta^k.  Nothing is kept on data.
     """
-    if data.sss is None:
-        data.sss_witnesses = dict(_sss_walk(data, budget))
-        data.sss = frozenset(data.sss_witnesses)
-    return data.sss
+    return dict(_sss_walk(data, budget))
 
 
 @dataclass(frozen=True)
@@ -295,26 +288,19 @@ class ConjugacyResult:
 def are_conjugate(
     w1: BraidWord, w2: BraidWord, budget: Optional[int] = None
 ) -> ConjugacyResult:
-    """Decide conjugacy by intersecting super summit sets; with witness.
+    """Decide conjugacy by looking up w2's summit representative in SSS(w1); with witness.
 
-    The witness v, freely reduced, satisfies lcf(v^-1 w1 v) = lcf(w2).
+    The witness v, freely reduced, satisfies lcf(v^-1 w1 v) = lcf(w2).  A
+    differing class invariant (writhe, inf_s, sup_s) fails the lookup too.
     """
     if w1.n != w2.n:
         raise ValueError(f"mismatched strand counts {w1.n} and {w2.n}")
     rep1 = sss_representative(w1)
     rep2 = sss_representative(w2)
-    if writhe(w1) != writhe(w2) or (rep1.inf_conj, rep1.sup_conj) != (
-        rep2.inf_conj,
-        rep2.sup_conj,
-    ):
-        size1 = len(sss_enumerate(rep1, budget))
-        size2 = len(sss_enumerate(rep2, budget))
-        return ConjugacyResult(False, None, size1, size2)
     sss1 = sss_enumerate(rep1, budget)
-    if rep2.representative in sss1:
-        back = tuple((f, -sign) for f, sign in reversed(rep2.witness_steps))
-        steps = rep1.witness_steps + rep1.sss_witnesses[rep2.representative] + back
-        witness = signed_word(w1.n, 0, steps).freely_reduced()
-        return ConjugacyResult(True, witness, len(sss1), len(sss1))
-    size2 = len(sss_enumerate(rep2, budget))
-    return ConjugacyResult(False, None, len(sss1), size2)
+    path = sss1.get(rep2.representative)
+    if path is None:
+        return ConjugacyResult(False, None, len(sss1), len(sss_enumerate(rep2, budget)))
+    back = tuple((f, -sign) for f, sign in reversed(rep2.witness_steps))
+    witness = signed_word(w1.n, 0, rep1.witness_steps + path + back).freely_reduced()
+    return ConjugacyResult(True, witness, len(sss1), len(sss1))

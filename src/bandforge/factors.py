@@ -38,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -46,10 +45,6 @@ from .words import BandLetter, BraidWord
 
 #: Largest n for which enumerate_factors will tabulate all Catalan(n) factors.
 ENUMERATION_BOUND = 8
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 def _crossing(label: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -203,38 +198,39 @@ def gen_factor(n: int, t: int, s: int) -> CanonicalFactor:
     return _from_labels(tuple(label))
 
 
-@lru_cache(maxsize=None)
-def enumerate_factors(n: int, bound: int = ENUMERATION_BOUND) -> tuple[CanonicalFactor, ...]:
-    """All canonical factors of B_n, Catalan(n) of them, in a fixed order.
+def _nc_labels(n: int) -> Iterator[tuple[int, ...]]:
+    """Every non-crossing label array of {1..n}, by the stack rule _crossing checks.
 
-    Tabulation is limited to n <= bound (default 8); other operations in this
-    module work for any n.
+    Element k either opens a block or joins a block that is still open,
+    which closes every block opened after that one.
     """
-    if not 1 <= n <= bound:
-        raise ValueError(f"enumeration supports 1 <= n <= {bound}, got {n}")
+    label = [0] * (n + 1)
 
-    def nc_partitions(seq: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not seq:
-            yield ()
+    def extend(k: int, stack: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if k > n:
+            yield tuple(label)
             return
-        first, rest = seq[0], seq[1:]
+        label[k] = k
+        yield from extend(k + 1, stack + (k,))
+        for i, l in enumerate(stack):
+            label[k] = l
+            yield from extend(k + 1, stack[: i + 1])
 
-        def grow(block: tuple[int, ...], remaining: tuple[int, ...]):
-            for p in nc_partitions(remaining):
-                yield (block,) + p
-            for i in range(len(remaining)):
-                for gap in nc_partitions(remaining[:i]):
-                    for tail in grow(block + (remaining[i],), remaining[i + 1 :]):
-                        yield gap + tail
+    return extend(1, ())
 
-        yield from grow((first,), rest)
 
-    factors = sorted(
-        (factor(n, blocks) for blocks in nc_partitions(tuple(range(1, n + 1)))),
-        key=lambda f: (f.word_length, f.blocks),
+@lru_cache(maxsize=None)
+def enumerate_factors(n: int) -> tuple[CanonicalFactor, ...]:
+    """All canonical factors of B_n, Catalan(n) of them, by (word_length, blocks).
+
+    Tabulation is limited to n <= ENUMERATION_BOUND; other operations in
+    this module work for any n.
+    """
+    if not 1 <= n <= ENUMERATION_BOUND:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_BOUND}, got {n}")
+    return tuple(
+        sorted(map(_from_labels, _nc_labels(n)), key=lambda f: (f.word_length, f.blocks))
     )
-    assert len(factors) == catalan(n)
-    return tuple(factors)
 
 
 def factor_to_word(a: CanonicalFactor) -> BraidWord:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import settings
@@ -21,6 +22,12 @@ from bandforge.normal_form import LeftCanonicalForm, right_multiply
 from bandforge.words import BandLetter, BraidWord, parse_word
 
 from oracle import oracle_equal
+
+
+def catalan(n: int) -> int:
+    """The number of canonical factors of B_n."""
+    return comb(2 * n, n) // (n + 1)
+
 
 #: Generator chord (t, s) with t > s; the positive band a_{t,s}.
 Chord = tuple[int, int]

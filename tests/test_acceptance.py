@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from bandforge.conjugacy import are_conjugate, sss_representative
-from bandforge.factors import catalan, enumerate_factors, tau
+from bandforge.factors import enumerate_factors, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
     lcf,
@@ -27,6 +27,7 @@ from bandforge.words import BandLetter, BraidWord
 from conftest import (
     append_letter,
     b4,
+    catalan,
     insert_cancellation,
     insert_relator,
     random_braid_word,

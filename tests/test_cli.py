@@ -300,6 +300,8 @@ class TestExitCodes:
             ["classify", "-n", "4", "A1"],
             # inf_s = 0: no summit walk, but the budget is still checked.
             ["classify", "-n", "4", "a1"],
+            # Checked before the summit search, also when nothing is enumerated.
+            ["sss", "-n", "4", "a1"],
         ],
     )
     @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -331,3 +333,10 @@ class TestExitCodes:
         target = tmp_path / "out.json"
         capture(["lcf", "-n", "4", "a1", "--json", "-o", str(target)])
         assert json.loads(target.read_text())["sup"] == 1
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_output_file(self, where, tmp_path, capsys):
+        target = tmp_path if where == "directory" else tmp_path / "absent" / "out.txt"
+        capture(["lcf", "-n", "4", "a1", "-o", str(target)], expect_code=1)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

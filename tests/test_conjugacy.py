@@ -1,5 +1,6 @@
 """Cycling, decycling, summit representatives, SSS enumeration, conjugacy."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bandforge import conjugacy, normal_form
 from bandforge.conjugacy import (
     BudgetExceededError,
+    ConjugacyResult,
     _cycling_step,
     _decycling_step,
     _keeps_inf,
@@ -19,7 +21,7 @@ from bandforge.conjugacy import (
     sss_enumerate,
     sss_representative,
 )
-from bandforge.factors import catalan, enumerate_factors, factor_to_word, tau
+from bandforge.factors import enumerate_factors, factor_to_word, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
     lcf,
@@ -30,7 +32,7 @@ from bandforge.normal_form import (
 )
 from bandforge.words import BraidWord, parse_word, permutation, writhe
 
-from conftest import counted, random_braid_word, random_letters, sparse_words, w4
+from conftest import catalan, counted, random_braid_word, random_letters, sparse_words, w4
 from oracle import conjugate_ball_search
 from sss_reference import (
     conjugators_tried,
@@ -208,12 +210,12 @@ class TestSummitAgainstOrbitSearch:
 class TestSssEnumeration:
     def test_central_power_is_singleton(self):
         data = sss_representative(w4("d^4"))
-        assert sss_enumerate(data) == frozenset({lcf(w4("d^4"))})
+        assert sss_enumerate(data).keys() == frozenset({lcf(w4("d^4"))})
 
     def test_delta_itself_is_singleton(self):
         # Not central, but the only element with inf = sup = 1.
         data = sss_representative(w4("d"))
-        assert sss_enumerate(data) == frozenset({lcf(w4("d"))})
+        assert sss_enumerate(data).keys() == frozenset({lcf(w4("d"))})
 
     def test_generators_form_one_class(self):
         data = sss_representative(w4("a1"))
@@ -227,7 +229,7 @@ class TestSssEnumeration:
     def test_closure_independent_of_start(self):
         first = sss_representative(w4(KNOT_7_2_WORD))
         second = sss_representative(w4(KNOT_7_2_POSITIVE))
-        assert sss_enumerate(first) == sss_enumerate(second)
+        assert sss_enumerate(first).keys() == sss_enumerate(second).keys()
 
     def test_nb2_class_inf(self):
         data = sss_representative(w4(TWO_BAND_WORD))
@@ -244,9 +246,8 @@ class TestSssEnumeration:
 
     def test_witnesses_reach_elements(self):
         data = sss_representative(w4(KNOT_7_2_WORD))
-        sss_enumerate(data)
         base = lcf_to_word(data.representative)
-        for element, path in data.sss_witnesses.items():
+        for element, path in sss_enumerate(data).items():
             assert lcf(base.conjugated_by(signed_word(base.n, 0, path))) == element
 
     def test_closure_builds_no_words(self, monkeypatch):
@@ -265,7 +266,25 @@ class TestSssEnumeration:
         elements = sss_enumerate(data)
         monkeypatch.undo()
         assert calls == {} and len(elements) > 1
-        assert set(data.sss_witnesses) == elements
+
+    def test_representative_comes_first(self):
+        data = sss_representative(w4(KNOT_7_2_WORD))
+        elements = sss_enumerate(data)
+        assert len(elements) > 1
+        assert next(iter(elements.items())) == (data.representative, ())
+
+    def test_nothing_kept_on_the_summit(self):
+        w = w4(TWO_BAND_WORD)
+        data = sss_representative(w)
+        first = sss_enumerate(data)
+        assert sss_enumerate(data) == first
+        assert data == sss_representative(w)
+
+    def test_summit_data_is_frozen(self):
+        data = sss_representative(w4(KNOT_7_2_WORD))
+        assert [f.name for f in dataclasses.fields(data)] == ["representative", "witness_steps"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.witness_steps = ()
 
     def test_budget_guard(self):
         data = sss_representative(w4(KNOT_7_2_WORD))
@@ -304,10 +323,11 @@ class TestSssAgainstWordClosure:
     @staticmethod
     def assert_same_closure(w):
         data = sss_representative(w)
-        assert sss_enumerate(data) == sss_enumerate_by_words(sss_representative(w))
+        elements = sss_enumerate(data)
+        assert elements.keys() == sss_enumerate_by_words(sss_representative(w))
         # Witnesses are not unique, so each is checked, not compared.
         base = lcf_to_word(data.representative)
-        for element, path in data.sss_witnesses.items():
+        for element, path in elements.items():
             assert lcf(base.conjugated_by(signed_word(base.n, 0, path))) == element
 
     @pytest.mark.parametrize("n, samples, max_len", [(3, 12, 8), (4, 12, 8), (5, 4, 6)])
@@ -334,7 +354,7 @@ class TestSssAgainstPerElementClosure:
     )
     def test_six_strand_words(self, text):
         w = parse_word(text, 6)
-        assert sss_enumerate(sss_representative(w)) == sss_enumerate_per_element(
+        assert sss_enumerate(sss_representative(w)).keys() == sss_enumerate_per_element(
             sss_representative(w)
         )
 
@@ -370,9 +390,10 @@ class TestMinimalConjugators:
         for w in self.corpus(n, count, max_len):
             data = sss_representative(w)
             expected = sss_enumerate_per_element(sss_representative(w))
-            assert sss_enumerate(data) == expected, w.render()
+            elements = sss_enumerate(data)
+            assert elements.keys() == expected, w.render()
             base = lcf_to_word(data.representative)
-            for element, path in data.sss_witnesses.items():
+            for element, path in elements.items():
                 assert lcf(base.conjugated_by(signed_word(n, 0, path))) == element
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -415,7 +436,7 @@ class TestClosureInvariants:
                 LeftCanonicalForm(n, e.power, tuple(tau(a) for a in e.factors))
                 for e in elements
             }
-            assert rotated == elements
+            assert rotated == elements.keys()
 
     @pytest.mark.parametrize("n, samples, max_len", [(3, 10, 8), (4, 10, 10), (5, 6, 8)])
     def test_one_expansion_per_orbit(self, n, samples, max_len, rng, monkeypatch):
@@ -499,3 +520,24 @@ class TestAreConjugate:
         # a1 a1 and a1 a3 have equal writhe but different permutation types.
         res = are_conjugate(w4("a1 a1"), w4("a1 a3"))
         assert not res.conjugate
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_invariant_mismatch_reports_both_sizes(self, n):
+        # No invariant is compared up front: a pair whose writhe or
+        # (inf_s, sup_s) differ fails the lookup and reports both set sizes.
+        rng = random.Random(3001 * n)
+        kinds = Counter()
+        while min(kinds["writhe"], kinds["summit"]) < 3:
+            w1, w2 = (random_braid_word(n, rng.randint(3, 7), rng, neg=0.3) for _ in range(2))
+            s1, s2 = sss_representative(w1), sss_representative(w2)
+            if writhe(w1) != writhe(w2):
+                kinds["writhe"] += 1
+            elif (s1.inf_conj, s1.sup_conj) != (s2.inf_conj, s2.sup_conj):
+                kinds["summit"] += 1
+            else:
+                continue
+            sizes = len(sss_enumerate(s1)), len(sss_enumerate(s2))
+            assert are_conjugate(w1, w2) == ConjugacyResult(False, None, *sizes), (
+                w1.render(),
+                w2.render(),
+            )

@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import dataclasses
 import pathlib
 
 import bandforge
@@ -42,3 +43,10 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_exported_dataclass_is_frozen():
+    # The README promises immutable values: no exported record can be written to.
+    classes = [getattr(bandforge, n) for n in bandforge.__all__]
+    records = [c for c in classes if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert records and [c.__name__ for c in records if not c.__dataclass_params__.frozen] == []

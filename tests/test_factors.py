@@ -9,7 +9,8 @@ import re
 import pytest
 
 from bandforge.factors import (
-    catalan,
+    _crossing,
+    _nc_labels,
     complement,
     delta_factor,
     diamond,
@@ -28,7 +29,7 @@ from bandforge.normal_form import lcf
 from bandforge.render import DiskLayout
 from bandforge.words import delta_word, parse_word
 
-from conftest import all_chords, assert_same_braid, b4
+from conftest import all_chords, assert_same_braid, b4, catalan
 from oracle import positive_equal
 from transfer_reference import block_of, merge, right_set, split_left, starting_set
 
@@ -70,25 +71,20 @@ class TestEnumeration:
         assert len(factors) == count == catalan(n)
         assert len(set(factors)) == count
 
-    def test_n3_matches_brute_force(self):
-        expected = {
-            tuple(sorted(tuple(sorted(b)) for b in p)) for p in brute_force_noncrossing(3)
-        }
-        got = {tuple(sorted(f.blocks)) for f in enumerate_factors(3)}
-        assert got == expected
-        assert len(expected) == 5
-
-    def test_n5_matches_brute_force(self):
-        expected = {
-            tuple(sorted(tuple(sorted(b)) for b in p)) for p in brute_force_noncrossing(5)
-        }
-        got = {tuple(sorted(f.blocks)) for f in enumerate_factors(5)}
-        assert got == expected
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_brute_force_in_order(self, n):
+        # Shortest first, then by blocks in order of least element.
+        expected = sorted(
+            (n - len(p), tuple(sorted(tuple(sorted(b)) for b in p)))
+            for p in brute_force_noncrossing(n)
+        )
+        assert [(f.word_length, f.blocks) for f in enumerate_factors(n)] == expected
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             enumerate_factors(9)
-        assert len(enumerate_factors(9, bound=9)) == 4862
+        labels = set(_nc_labels(9))
+        assert len(labels) == 4862 and not any(map(_crossing, labels))
 
     def test_b4_inventory(self):
         # e, six edges, four triangles, two disjoint pairs, delta.

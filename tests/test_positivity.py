@@ -1,5 +1,6 @@
 """SQP/ASQP detection, reduction, and negative band number bounds."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from bandforge import conjugacy, positivity
 from bandforge.conjugacy import sss_enumerate, sss_representative
-from bandforge.factors import enumerate_factors, gen_factor
+from bandforge.factors import _from_labels, _nc_labels, enumerate_factors, gen_factor
 from bandforge.normal_form import LeftCanonicalForm, lcf, lcf_to_word
 from bandforge.positivity import ReducedWord, braid_report, count_negative_bands, reduce
 from bandforge.words import BraidWord, parse_word
@@ -461,6 +462,12 @@ class TestStrictlyAsqpAgainstAllRule:
         assert gains[5] > 0 and gains[6] > 0
 
 
+@functools.cache
+def factors_through_nine(n):
+    """enumerate_factors(n), extended past ENUMERATION_BOUND to n = 9."""
+    return sorted(map(_from_labels, _nc_labels(n)), key=lambda f: (f.word_length, f.blocks))
+
+
 class TestReduceAgainstStepwise:
     @settings(max_examples=300)
     @given(st.data())
@@ -469,7 +476,7 @@ class TestReduceAgainstStepwise:
         # the entries of a mixed form need not be left weighted.  At n = 2
         # there is no such factor.
         n = data.draw(st.integers(2, 9), label="n")
-        middle = enumerate_factors(n, bound=9)[1:-1]
+        middle = factors_through_nine(n)[1:-1]
         entry = st.tuples(st.sampled_from(middle), st.sampled_from((1, -1)))
         entries = tuple(data.draw(st.lists(entry, max_size=12), label="entries") if middle else ())
         power = data.draw(st.integers(-len(entries) - 2, 1), label="power")
