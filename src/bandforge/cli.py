@@ -32,7 +32,7 @@ from .factors import (
 from .normal_form import lcf, lcf_to_word, left_weight_pair
 from .positivity import braid_report
 from .render import render_svg
-from .words import MAX_STRANDS, ParseError, parse_word
+from .words import ParseError, check_strand_count, parse_word
 
 
 @functools.cache
@@ -286,8 +286,7 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if not 1 <= args.n <= MAX_STRANDS:
-            raise ValueError(f"strand count must be in 1..{MAX_STRANDS}, got {args.n}")
+        check_strand_count(args.n)
         payload, human = _COMMANDS[args.command](args)
         use_json = payload is not None and getattr(args, "json", False)
         text = json.dumps(payload, indent=2, sort_keys=True) if use_json else human

@@ -8,12 +8,12 @@ the punctured-disk diagram and contributing a positive word of length k-1.
 The identity e is the all-singletons partition, the fundamental element
 delta the one-block partition.
 
-A factor is two arrays of length n + 1 (entry 0 unused):
+A factor is two byte arrays of length n + 1 (entry 0 is 0), so n <= 255:
 
 - the labels: label[k] is the least element of k's block;
 - the permutation: k -> the previous element of k's block, cyclically.
 
-Its word length and flags are read off the labels once; its sorted blocks
+Its word length and flags are counted when it is built; its sorted blocks
 are grouped by label only when first read (text, JSON, words, SVG).
 
 The prefix order is refinement, so the greatest common prefix A ^ B (meet)
@@ -21,16 +21,24 @@ is the common refinement: k is labelled by the first index with the same
 pair of labels.  Products and left quotients of factors, when they are
 factors again, are products of the permutations, their cycles being the
 blocks; the complement A^-1 * delta is k -> pa^-1[k - 1], cyclically, and
-tau conjugates the permutation by the rotation.  Each of these is one O(n)
-pass over the arrays.
+tau conjugates the permutation by the rotation.  Every product, inverse and
+rotation is a bytes.translate through a table of bytes.maketrans or of a
+permutation padded to 256 entries, one pass in C.
 
-Factors are interned by their label array, one object per array, so two
-factors are equal exactly when they are the same object, and they hash by
-identity.  Only factor(), the constructor for partitions from outside, scans
-for crossing blocks, once per new label array; every other result is
-non-crossing by construction and only interned.  Everything here is a pure
-function of immutable values; complements, rotations and the prefix order
-are also cached in module-level memo tables.
+Factors are interned by their permutation bytes, one object per permutation,
+so two factors are equal exactly when they are the same object, and they
+hash by identity.  A product that is already interned costs one translate
+and one lookup; the labels of a new one are read off its permutation in one
+pass, since k > p[k] unless k is the least element of its block.  Only
+factor(), the constructor for partitions from outside, scans its label array
+for crossing blocks; every other result is non-crossing by construction.
+
+Everything here is a pure function of immutable values, and concurrent
+readers are safe: the intern keys are immutable bytes, whose hash is cached,
+and dict.setdefault makes the first factor stored for a permutation the one
+every thread gets.  _blocks is the only field set after construction, and
+every thread that sets it stores an equal tuple.  Complements, rotations and
+the prefix order are also cached in module-level memo tables.
 """
 
 from __future__ import annotations
@@ -38,10 +46,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .words import BandLetter, BraidWord
+from .words import BandLetter, BraidWord, check_strand_count
 
 #: Largest n for which enumerate_factors will tabulate all Catalan(n) factors.
 ENUMERATION_BOUND = 8
@@ -71,34 +78,25 @@ def _crossing(label: Sequence[int]) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CanonicalFactor:
-    """A non-crossing partition of {1..n}, held as its label and permutation arrays.
+    """A non-crossing partition of {1..n}, held as its label and permutation bytes.
 
     Construct through :func:`factor` (or the e/delta/generator helpers), which
     validates and interns; equality is identity, which is exact because the
-    intern table holds one factor per label array.
+    intern table holds one factor per permutation.
     """
 
     n: int
-    _label: tuple[int, ...]
-    _perm: tuple[int, ...]
-    # Set once: each multiplication step reads the flags.  word_length is
-    # n - #blocks.
-    word_length: int = field(init=False, repr=False)
-    is_identity: bool = field(init=False, repr=False)
-    is_delta: bool = field(init=False, repr=False)
+    _label: bytes
+    _perm: bytes
+    # Counted once by _from_perm: each multiplication step reads the flags.
+    word_length: int = field(repr=False)
+    is_identity: bool = field(repr=False)
+    is_delta: bool = field(repr=False)
     _blocks: Optional[tuple[tuple[int, ...], ...]] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.n
-        # Each block has one k with label[k] == k, its least element; so has entry 0.
-        count = sum(map(eq, self._label, range(n + 1))) - 1
-        object.__setattr__(self, "word_length", n - count)
-        object.__setattr__(self, "is_identity", count == n)
-        object.__setattr__(self, "is_delta", count == 1 and n >= 2)
 
     def __reduce__(self):
         # Equality is identity, so a copy or an unpickled factor is the interned one.
-        return _from_labels, (self._label,)
+        return _from_perm, (self._perm,)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -128,39 +126,71 @@ class CanonicalFactor:
         return self.text()
 
 
-#: Every factor built so far, keyed by its own label array.
-_INTERN: dict[tuple[int, ...], CanonicalFactor] = {}
+@lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[bytes, bytes, bytes]:
+    """The identity 0..n, the padding n+1..255, and delta's permutation.
+
+    A permutation of 0..n plus the padding is a bytes.translate table;
+    delta's permutation is k -> k - 1 (1 -> n).
+    """
+    return bytes(range(n + 1)), bytes(range(n + 1, 256)), bytes((0, n, *range(1, n)))
 
 
-def _from_labels(label: tuple[int, ...], perm: Optional[Sequence[int]] = None) -> CanonicalFactor:
+#: Every factor built so far, keyed by its own permutation.
+_INTERN: dict[bytes, CanonicalFactor] = {}
+
+
+def _from_perm(p: bytes) -> CanonicalFactor:
+    """The interned factor with permutation p: k -> the previous element of k's block.
+
+    Entry 0 is 0.  The cycles of p must be the blocks of a non-crossing
+    partition, each in increasing cyclic order; nothing here checks it.
+    """
+    f = _INTERN.get(p)
+    if f is None:
+        n = len(p) - 1
+        # Only a block's least element k has p[k] >= k; any other k follows a
+        # smaller element of its block, whose label is already known.
+        label = bytearray(n + 1)
+        count = 0
+        for k in range(1, n + 1):
+            if (q := p[k]) >= k:
+                label[k] = k
+                count += 1
+            else:
+                label[k] = label[q]
+        f = CanonicalFactor(n, bytes(label), p, n - count, count == n, count == 1 and n >= 2)
+        f = _INTERN.setdefault(p, f)
+    return f
+
+
+def _perm_of(label: Sequence[int]) -> bytes:
+    """The permutation of the partition with these labels (entry 0 unused)."""
+    # Until the scan ends, a block's least element maps to its last element so far.
+    perm = bytearray(range(len(label)))
+    for k in range(1, len(label)):
+        if (l := label[k]) != k:
+            perm[k], perm[l] = perm[l], k
+    return bytes(perm)
+
+
+def _from_labels(label: Sequence[int]) -> CanonicalFactor:
     """The interned factor with these labels: label[k] is the least element of k's block.
 
-    Entry 0 is unused (0).  The partition must be non-crossing; nothing here
-    checks it.  A new factor's permutation is perm when the caller holds it,
-    else read off the labels.
+    Entry 0 is unused.  The partition must be non-crossing; nothing here
+    checks it.
     """
-    f = _INTERN.get(label)
-    if f is None:
-        n = len(label) - 1
-        if perm is None:
-            # Until the scan ends, a block's least element maps to its last element so far.
-            perm = list(range(n + 1))
-            for k in range(1, n + 1):
-                if (l := label[k]) != k:
-                    perm[k], perm[l] = perm[l], k
-        f = _INTERN.setdefault(label, CanonicalFactor(n, label, tuple(perm)))
-    return f
+    return _from_perm(_perm_of(label))
 
 
 def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
     """Build the canonical factor with the given blocks (singletons optional).
 
-    Raises ValueError if the blocks do not form a non-crossing partition of a
-    subset of {1..n} (missing elements become singletons); only labels not
-    yet interned are scanned for crossing blocks.
+    Raises ValueError if n is outside 1..MAX_STRANDS, or if the blocks do not
+    form a non-crossing partition of a subset of {1..n} (missing elements
+    become singletons).
     """
-    if n < 1:
-        raise ValueError(f"strand count must be >= 1, got {n}")
+    check_strand_count(n)
     seen: set[int] = set()
     label = list(range(n + 1))
     for raw in blocks:
@@ -174,11 +204,10 @@ def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
         seen |= set(block)
         for x in block:
             label[x] = block[0]
-    key = tuple(label)
-    if key not in _INTERN and (crossed := _crossing(key)):
-        x, y = (tuple(k for k in range(1, n + 1) if key[k] == l) for l in crossed)
+    if crossed := _crossing(label):
+        x, y = (tuple(k for k in range(1, n + 1) if label[k] == l) for l in crossed)
         raise ValueError(f"blocks {x} and {y} cross")
-    return _from_labels(key)
+    return _from_labels(label)
 
 
 def identity_factor(n: int) -> CanonicalFactor:
@@ -189,13 +218,15 @@ def delta_factor(n: int) -> CanonicalFactor:
     return factor(n, (tuple(range(1, n + 1)),))
 
 
+@lru_cache(maxsize=None)
 def gen_factor(n: int, t: int, s: int) -> CanonicalFactor:
-    """The 2-gon of the band generator a_{t,s}."""
+    """The 2-gon of the band generator a_{t,s}; lcf caches at most n(n-1)/2 per n."""
+    check_strand_count(n)
     if not 1 <= min(s, t) < max(s, t) <= n:
         raise ValueError(f"generator ({t},{s}) out of range for n={n}")
     label = list(range(n + 1))
     label[max(s, t)] = min(s, t)
-    return _from_labels(tuple(label))
+    return _from_labels(label)
 
 
 def _nc_labels(n: int) -> Iterator[tuple[int, ...]]:
@@ -254,11 +285,8 @@ def complement(a: CanonicalFactor) -> CanonicalFactor:
     B = A^-1 * delta; delta's permutation is k -> k - 1 (1 -> n), so B's is
     k -> pa^-1[k - 1].
     """
-    n = a.n
-    inv = [0] * (n + 1)
-    for k, x in enumerate(a._perm):
-        inv[x] = k
-    return _from_perm(n, (0, inv[n], *inv[1:n]))
+    ident, _, delta = _tables(a.n)
+    return _from_perm(delta.translate(bytes.maketrans(a._perm, ident)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -271,43 +299,38 @@ def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
     lb = b._label
-    return tuple(map(lb.__getitem__, a._label)) == lb
+    return a._label.translate(lb + _tables(a.n)[1]) == lb
+
+
+def _meet_labels(la: bytes, lb: bytes) -> tuple[bytes, bool]:
+    """The labels of the common refinement, and whether every pair of labels is distinct."""
+    # k's block is labelled by the first index with k's pair of labels.
+    first: dict[tuple[int, int], int] = {}
+    label = bytes(map(first.setdefault, zip(la, lb), range(len(la))))
+    return label, len(first) == len(la)
 
 
 def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
     """The greatest common prefix A ^ B: blocks are the non-empty intersections of blocks."""
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    # k's block is labelled by the first index with k's pair of labels.
-    first: dict[tuple[int, int], int] = {}
-    pairs = enumerate(zip(a._label, b._label))
-    return _from_labels(tuple([first.setdefault(p, k) for k, p in pairs]))
+    return _from_labels(_meet_labels(a._label, b._label)[0])
 
 
 @lru_cache(maxsize=None)
 def _tau_shift(a: CanonicalFactor, shift: int) -> CanonicalFactor:
-    n, p = a.n, a._perm
+    n = a.n
+    ident, pad, _ = _tables(n)
     # The rotation r: x -> x + shift (mod n, into 1..n) maps p to r p r^-1.
-    r = (0, *range(shift + 1, n + 1), *range(1, shift + 1))
-    r_inv = (0, *range(n - shift + 1, n + 1), *range(1, n - shift + 1))
-    return _from_perm(n, [r[p[x]] for x in r_inv])
+    r = b"\0" + ident[shift + 1 :] + ident[1 : shift + 1]
+    r_inv = b"\0" + ident[n - shift + 1 :] + ident[1 : n - shift + 1]
+    return _from_perm(r_inv.translate(a._perm + pad).translate(r + pad))
 
 
 def tau(a: CanonicalFactor, k: int = 1) -> CanonicalFactor:
     """Conjugation by delta^k: rotates every label by +k (mod n, into 1..n)."""
     shift = k % a.n
     return a if shift == 0 else _tau_shift(a, shift)
-
-
-def _from_perm(n: int, p: Sequence[int]) -> CanonicalFactor:
-    """The factor whose blocks are the cycles of the permutation p (entry 0 unused)."""
-    label = [0] * (n + 1)
-    for start in range(1, n + 1):
-        k = start
-        while not label[k]:
-            label[k] = start
-            k = p[k]
-    return _from_labels(tuple(label), p)
 
 
 def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
@@ -323,16 +346,26 @@ def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]
 
 def _product(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
     """The factor A*B for a prefix B of complement(A): k -> pa[pb[k]]."""
-    pa = a._perm
-    return _from_perm(a.n, [pa[x] for x in b._perm])
+    return _from_perm(b._perm.translate(a._perm + _tables(a.n)[1]))
 
 
-def _left_quotient(c: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
-    """The factor C^-1 * B for a prefix C of B: k -> pc^-1[pb[k]]."""
-    pc_inv = [0] * (c.n + 1)
-    for k, x in enumerate(c._perm):
-        pc_inv[x] = k
-    return _from_perm(c.n, [pc_inv[x] for x in b._perm])
+def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFactor, CanonicalFactor]:
+    """The pair (A*C, C^-1 * B) for C = complement(A) ^ B, the step of left weighting.
+
+    C = e exactly when every pair of labels is distinct; then the pair is
+    returned as it is.  Otherwise C's permutation gives A*C as k -> pa[pc[k]]
+    and C^-1 * B as k -> pc^-1[pb[k]]; C itself is not interned.  C precedes
+    complement(A) (it is their meet), so A*C needs no diamond test.
+    """
+    label, trivial = _meet_labels(complement(a)._label, b._label)
+    if trivial:
+        return a, b
+    pc = _perm_of(label)
+    ident, pad, _ = _tables(a.n)
+    return (
+        _from_perm(pc.translate(a._perm + pad)),
+        _from_perm(b._perm.translate(bytes.maketrans(pc, ident))),
+    )
 
 
 def star(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:

@@ -31,8 +31,7 @@ from typing import Iterable
 
 from .factors import (
     CanonicalFactor,
-    _left_quotient,
-    _product,
+    _left_weight,
     complement,
     factor_to_word,
     gen_factor,
@@ -106,11 +105,7 @@ def left_weight_pair(
     """
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    c = meet(complement(a), b)
-    if c.is_identity:
-        return a, b
-    # c precedes complement(a) (it is their meet), so A*C needs no diamond test.
-    return _product(a, c), _left_quotient(c, b)
+    return _left_weight(a, b)
 
 
 def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:

@@ -136,8 +136,15 @@ _B4_ALIASES = {
 #: are expanded, so an oversized word fails at once instead of filling memory.
 MAX_WORD_LETTERS = 100_000
 
-#: Most strands the command line accepts; a factor holds two arrays of n + 1 entries.
-MAX_STRANDS = 1024
+#: Most strands a factor can have: it holds two byte arrays of n + 1 entries,
+#: and a byte holds 0..255.
+MAX_STRANDS = 255
+
+
+def check_strand_count(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_STRANDS."""
+    if not 1 <= n <= MAX_STRANDS:
+        raise ValueError(f"strand count must be in 1..{MAX_STRANDS}, got {n}")
 
 
 def parse_word(text: str, n: int) -> BraidWord:

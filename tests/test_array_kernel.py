@@ -12,15 +12,21 @@ read, and lcf() never reads them.
 Only factor() scans for crossing blocks, so every other kernel result must
 be non-crossing by construction: each is checked to be, and to be the factor
 that factor() builds from its blocks.
+
+A Hypothesis property draws factors of lcf words at n = 8..64, and their
+complements, and checks the kernel and left_weight_pair against the
+references; one seeded word checks the largest strand count, n = 255.
 """
 
+import copy
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandforge.factors import (
@@ -30,11 +36,12 @@ from bandforge.factors import (
     complement,
     enumerate_factors,
     factor,
+    gen_factor,
     meet,
     precedes,
 )
-from bandforge.normal_form import lcf, left_weight_pair
-from bandforge.words import BandLetter, BraidWord
+from bandforge.normal_form import lcf, lcf_to_word, left_weight_pair
+from bandforge.words import MAX_STRANDS, BandLetter, BraidWord, permutation, writhe
 
 from conftest import all_chords, random_braid_word
 from transfer_reference import (
@@ -42,6 +49,7 @@ from transfer_reference import (
     reference_meet,
     reference_precedes,
     reference_tau,
+    transfer_left_weight_pair,
 )
 
 fresh_complement = complement.__wrapped__
@@ -52,7 +60,8 @@ fresh_precedes = precedes.__wrapped__
 def _assert_arrays(f):
     """label[k] = least element of k's block; perm[k] = its predecessor, cyclically.
 
-    The blocks are sorted, in order of least element, and share out 1..n by
+    Both are bytes, and the factor is interned under its permutation.  The
+    blocks are sorted, in order of least element, and share out 1..n by
     label; the flags agree with them.
     """
     label, perm = [0] * (f.n + 1), [0] * (f.n + 1)
@@ -60,8 +69,8 @@ def _assert_arrays(f):
         for i, x in enumerate(block):
             label[x] = min(block)
             perm[x] = block[i - 1]
-    assert f._label == tuple(label) and f._perm == tuple(perm), f.text()
-    assert _INTERN[f._label] is f, f.text()
+    assert f._label == bytes(label) and f._perm == bytes(perm), f.text()
+    assert _INTERN[f._perm] is f, f.text()
     assert sorted(x for b in f.blocks for x in b) == list(range(1, f.n + 1)), f.text()
     assert all(list(b) == sorted(b) for b in f.blocks), f.text()
     assert [b[0] for b in f.blocks] == sorted(set(f._label[1:])), f.text()
@@ -163,6 +172,48 @@ def test_kernel_results_non_crossing_lcf_factors(data):
     others = fs + tuple(map(complement, fs))
     for a in fs:
         _assert_non_crossing(_kernel_results(a, others))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_kernel_matches_reference_on_lcf_factors(data):
+    n = data.draw(st.integers(8, 64), label="n")
+    letters = st.tuples(st.sampled_from(all_chords(n)), st.sampled_from((1, -1)))
+    drawn = data.draw(st.lists(letters, min_size=1, max_size=30), label="letters")
+    fs = lcf(BraidWord(n, tuple(BandLetter(t, s, sign) for (t, s), sign in drawn))).factors
+    assume(fs)
+    pool = st.sampled_from(fs + tuple(map(complement, fs)))
+    for a, b in data.draw(st.lists(st.tuples(pool, pool), min_size=1, max_size=6), label="pairs"):
+        assert fresh_left_weight_pair(a, b) == transfer_left_weight_pair(a, b), (a.text(), b.text())
+        assert fresh_complement(a) is reference_complement(a), a.text()
+        assert meet(a, b) is reference_meet(a, b), (a.text(), b.text())
+        assert fresh_precedes(a, b) is reference_precedes(a, b), (a.text(), b.text())
+        shift = data.draw(st.integers(1, n - 1), label="shift")
+        assert fresh_tau(a, shift) is reference_tau(a, shift), (a.text(), shift)
+
+
+def test_largest_strand_count():
+    # A byte holds every label and permutation entry up to n = 255.
+    n = MAX_STRANDS
+    w = random_braid_word(n, 60, random.Random(255), neg=0.3)
+    form = lcf(w)
+    form.validate()
+    assert form.factors and form.power < 0
+    word = lcf_to_word(form)
+    assert permutation(word) == permutation(w) and writhe(word) == writhe(w)
+    f = max(form.factors, key=lambda f: f.word_length)
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_strand_count_above_a_byte():
+    message = f"strand count must be in 1..{MAX_STRANDS}, got {MAX_STRANDS + 1}"
+    with pytest.raises(ValueError, match=message):
+        lcf(BraidWord(MAX_STRANDS + 1, (BandLetter(2, 1, 1),)))
+    with pytest.raises(ValueError, match=message):
+        factor(MAX_STRANDS + 1, ())
+    with pytest.raises(ValueError, match=message):
+        gen_factor(MAX_STRANDS + 1, 2, 1)
 
 
 def _words(seed, count):

@@ -43,6 +43,12 @@ class TestLcfCommand:
         assert out["inf"] == 1 and out["sup"] == 2
         assert out["factors"] == [[[1, 2, 3], [4]]]
 
+    def test_largest_strand_count(self):
+        word = "a(255,1) A(128,2) a(255,254) a(3,1)"
+        out = json.loads(capture(["lcf", "-n", str(MAX_STRANDS), word, "--json"]))
+        assert out == lcf(parse_word(word, MAX_STRANDS)).to_json()
+        assert (out["n"], out["inf"], out["sup"]) == (255, -1, 2)
+
     @pytest.mark.parametrize(
         "name,argv",
         [
