@@ -284,7 +284,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert f"more than {MAX_WORD_LETTERS} letters" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", ["1000000000", str(MAX_STRANDS + 1), "0", "-3"])
+    @pytest.mark.parametrize("n", ["1000000000", "1025", str(MAX_STRANDS + 1), "0", "-3"])
     @pytest.mark.parametrize("command", ["lcf", "classify"])
     def test_strand_count_out_of_range(self, command, n, capsys):
         # Checked before any factor is built: n + 1 label entries per factor
