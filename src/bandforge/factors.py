@@ -13,23 +13,31 @@ A factor is two byte arrays of length n + 1 (entry 0 is 0), so n <= 255:
 - the labels: label[k] is the least element of k's block;
 - the permutation: k -> the previous element of k's block, cyclically.
 
-Its word length and flags are counted when it is built; its sorted blocks
-are grouped by label only when first read (text, JSON, words, SVG).
+It also keeps its tails, the elements that are not the least of their
+block, in increasing order.  Its word length (the number of tails) and
+flags are counted when it is built; its sorted blocks are grouped by label
+only when first read (text, JSON, words, SVG).
 
 The prefix order is refinement, so the greatest common prefix A ^ B (meet)
-is the common refinement: k is labelled by the first index with the same
-pair of labels.  Products and left quotients of factors, when they are
-factors again, are products of the permutations, their cycles being the
-blocks; the complement A^-1 * delta is k -> pa^-1[k - 1], cyclically, and
-tau conjugates the permutation by the rotation.  Every product, inverse and
-rotation is a bytes.translate through a table of bytes.maketrans or of a
-permutation padded to 256 entries, one pass in C.
+is the common refinement.  One pass over the tails of B gives its
+permutation: an element whose labels are x and y lies in the intersection
+of those two blocks, whose least element is x or y when that lies in both,
+and otherwise the first such element seen.  Both meet and the step of left
+weighting, which needs only the meet's permutation, are that pass.
+Products and left quotients of factors, when they are factors again, are
+products of the permutations, their cycles being the blocks; the complement
+A^-1 * delta is k -> pa^-1[k - 1], cyclically, and tau conjugates the
+permutation by the rotation.  Every product, inverse and rotation is a
+bytes.translate through a table of bytes.maketrans or of a permutation
+padded to 256 entries, one pass in C.
 
 Factors are interned by their permutation bytes, one object per permutation,
 so two factors are equal exactly when they are the same object, and they
 hash by identity.  A product that is already interned costs one translate
-and one lookup; the labels of a new one are read off its permutation in one
-pass, since k > p[k] unless k is the least element of its block.  Only
+and one lookup; the labels and tails of a new one are read off its
+permutation in one pass, since k > p[k] unless k is the least element of
+its block, and the new object is filled through its slot setters rather
+than the frozen dataclass __init__ (equal values, fewer calls).  Only
 factor(), the constructor for partitions from outside, scans its label array
 for crossing blocks; every other result is non-crossing by construction.
 
@@ -88,6 +96,8 @@ class CanonicalFactor:
     n: int
     _label: bytes
     _perm: bytes
+    # Every k that is not the least element of its block, in increasing order.
+    _tails: bytes = field(repr=False)
     # Counted once by _from_perm: each multiplication step reads the flags.
     word_length: int = field(repr=False)
     is_identity: bool = field(repr=False)
@@ -139,6 +149,10 @@ def _tables(n: int) -> tuple[bytes, bytes, bytes]:
 #: Every factor built so far, keyed by its own permutation.
 _INTERN: dict[bytes, CanonicalFactor] = {}
 
+# The slot setters, in field order: an intern miss fills a bare object through
+# them, bypassing the frozen dataclass __init__ and its object.__setattr__ calls.
+_SETTERS = tuple(getattr(CanonicalFactor, name).__set__ for name in CanonicalFactor.__slots__)
+
 
 def _from_perm(p: bytes) -> CanonicalFactor:
     """The interned factor with permutation p: k -> the previous element of k's block.
@@ -151,15 +165,24 @@ def _from_perm(p: bytes) -> CanonicalFactor:
         n = len(p) - 1
         # Only a block's least element k has p[k] >= k; any other k follows a
         # smaller element of its block, whose label is already known.
-        label = bytearray(n + 1)
-        count = 0
-        for k in range(1, n + 1):
-            if (q := p[k]) >= k:
-                label[k] = k
-                count += 1
-            else:
+        label = bytearray(_tables(n)[0])
+        tails = bytearray()
+        add_tail = tails.append
+        for k, q in enumerate(p):
+            if q < k:
                 label[k] = label[q]
-        f = CanonicalFactor(n, bytes(label), p, n - count, count == n, count == 1 and n >= 2)
+                add_tail(k)
+        f = object.__new__(CanonicalFactor)
+        (set_n, set_label, set_perm, set_tails,
+         set_length, set_identity, set_delta, set_blocks) = _SETTERS
+        set_n(f, n)
+        set_label(f, bytes(label))
+        set_perm(f, p)
+        set_tails(f, bytes(tails))
+        set_length(f, len(tails))
+        set_identity(f, not tails)
+        set_delta(f, len(tails) == n - 1 and n >= 2)
+        set_blocks(f, None)
         f = _INTERN.setdefault(p, f)
     return f
 
@@ -302,19 +325,41 @@ def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     return a._label.translate(lb + _tables(a.n)[1]) == lb
 
 
-def _meet_labels(la: bytes, lb: bytes) -> tuple[bytes, bool]:
-    """The labels of the common refinement, and whether every pair of labels is distinct."""
-    # k's block is labelled by the first index with k's pair of labels.
+def _meet_perm(la: bytes, lb: bytes, tails: bytes) -> Optional[bytes]:
+    """The permutation of the common refinement of two partitions, or None when it is e.
+
+    la and lb are their labels, and tails lists the elements that are not
+    the least of their block in the second partition, in increasing order.
+    A block of the refinement is an intersection I of a block with least
+    element x and one with least element y.  The least element of I is x
+    when x lies in I, y when y does, and otherwise the first element of I,
+    which is then the least of neither block.  So one walk over the tails
+    meets every element of I but its least, in increasing order, and builds
+    the permutation as _perm_of does.
+    """
     first: dict[tuple[int, int], int] = {}
-    label = bytes(map(first.setdefault, zip(la, lb), range(len(la))))
-    return label, len(first) == len(la)
+    perm = None
+    for k in tails:
+        if (x := la[k]) == k:
+            continue
+        y = lb[k]
+        if lb[x] == y:
+            l = x
+        elif la[y] == x:
+            l = y
+        elif (l := first.setdefault((x, y), k)) == k:
+            continue
+        if perm is None:
+            perm = bytearray(range(len(la)))
+        perm[k], perm[l] = perm[l], k
+    return None if perm is None else bytes(perm)
 
 
 def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
     """The greatest common prefix A ^ B: blocks are the non-empty intersections of blocks."""
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    return _from_labels(_meet_labels(a._label, b._label)[0])
+    return _from_perm(_meet_perm(a._label, b._label, b._tails) or _tables(a.n)[0])
 
 
 @lru_cache(maxsize=None)
@@ -352,15 +397,14 @@ def _product(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
 def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFactor, CanonicalFactor]:
     """The pair (A*C, C^-1 * B) for C = complement(A) ^ B, the step of left weighting.
 
-    C = e exactly when every pair of labels is distinct; then the pair is
-    returned as it is.  Otherwise C's permutation gives A*C as k -> pa[pc[k]]
+    C = e exactly when the meet pass joins no two elements; then the pair
+    is returned as it is.  Otherwise C's permutation gives A*C as k -> pa[pc[k]]
     and C^-1 * B as k -> pc^-1[pb[k]]; C itself is not interned.  C precedes
     complement(A) (it is their meet), so A*C needs no diamond test.
     """
-    label, trivial = _meet_labels(complement(a)._label, b._label)
-    if trivial:
+    pc = _meet_perm(complement(a)._label, b._label, b._tails)
+    if pc is None:
         return a, b
-    pc = _perm_of(label)
     ident, pad, _ = _tables(a.n)
     return (
         _from_perm(pc.translate(a._perm + pad)),

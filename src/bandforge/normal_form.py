@@ -19,26 +19,35 @@ first pair that does not change:
   that forms is carried to the front by the pass itself, as
   (A, delta) -> (delta, tau(A)) is X delta = delta tau(X); it joins the power.
 
-lcf() multiplies the letters in on the left, last letter first; a negative
-letter c is left_divide(c, form), as c^-1 = delta^-1 tau^-1(complement(c)).
+lcf() reads the word from its last letter to its first and multiplies it in
+on the left by runs: a positive letter g joins the pending factor h while
+g*h is a factor (h <= complement(g)), and a negative letter c joins a
+pending negative run h while h*c is one (c <= complement(h)), since
+c^-1 h^-1 = (h c)^-1.  Each run is one left_multiply(h, form), or one
+left_divide(h, form), as h^-1 = delta^-1 tau^-1(complement(h)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .factors import (
     CanonicalFactor,
     _left_weight,
     complement,
+    diamond,
     factor_to_word,
     gen_factor,
     meet,
     tau,
 )
-from .words import BraidWord, delta_word
+from .words import BraidWord, check_strand_count, delta_word
+
+# Most pairs of a long word are met once, so the pair memo keeps a bounded
+# number of recent ones.
+_PAIR_MEMO_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class LeftCanonicalForm:
         return self.text()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_MEMO_SIZE)
 def left_weight_pair(
     a: CanonicalFactor, b: CanonicalFactor
 ) -> tuple[CanonicalFactor, CanonicalFactor]:
@@ -162,13 +171,33 @@ def right_multiply(form: LeftCanonicalForm, f: CanonicalFactor) -> LeftCanonical
     return LeftCanonicalForm(n, form.power, fs[:i] + (f, *tail))
 
 
+def _runs(w: BraidWord) -> Iterator[SignedFactor]:
+    """The letters, last first, gathered into maximal runs of one sign whose product is a factor.
+
+    A positive run g_1 ... g_m is the factor g_1 ... g_m; a negative run
+    c_m^-1 ... c_1^-1 is (c_1 ... c_m)^-1, given as the factor c_1 ... c_m.
+    """
+    h, sign = None, 0
+    for letter in reversed(w.letters):
+        g = gen_factor(w.n, letter.t, letter.s)
+        if letter.sign == sign:
+            joined = diamond(g, h) if sign > 0 else diamond(h, g)
+            if joined is not None:
+                h = joined
+                continue
+        if sign:
+            yield h, sign
+        h, sign = g, letter.sign
+    if sign:
+        yield h, sign
+
+
 def lcf(w: BraidWord) -> LeftCanonicalForm:
     """The left canonical form of the braid represented by the word."""
-    n = w.n
-    form = LeftCanonicalForm(n, 0, ())
-    for letter in reversed(w.letters):
-        g = gen_factor(n, letter.t, letter.s)
-        form = left_multiply(g, form) if letter.sign > 0 else left_divide(g, form)
+    check_strand_count(w.n)
+    form = LeftCanonicalForm(w.n, 0, ())
+    for h, sign in _runs(w):
+        form = left_multiply(h, form) if sign > 0 else left_divide(h, form)
     return form
 
 

@@ -60,9 +60,10 @@ fresh_precedes = precedes.__wrapped__
 def _assert_arrays(f):
     """label[k] = least element of k's block; perm[k] = its predecessor, cyclically.
 
-    Both are bytes, and the factor is interned under its permutation.  The
-    blocks are sorted, in order of least element, and share out 1..n by
-    label; the flags agree with them.
+    The tails are the other elements, in increasing order.  All three are
+    bytes, and the factor is interned under its permutation.  The blocks
+    are sorted, in order of least element, and share out 1..n by label; the
+    flags agree with them.
     """
     label, perm = [0] * (f.n + 1), [0] * (f.n + 1)
     for block in f.blocks:
@@ -70,6 +71,7 @@ def _assert_arrays(f):
             label[x] = min(block)
             perm[x] = block[i - 1]
     assert f._label == bytes(label) and f._perm == bytes(perm), f.text()
+    assert f._tails == bytes(sorted(x for b in f.blocks for x in b[1:])), f.text()
     assert _INTERN[f._perm] is f, f.text()
     assert sorted(x for b in f.blocks for x in b) == list(range(1, f.n + 1)), f.text()
     assert all(list(b) == sorted(b) for b in f.blocks), f.text()
@@ -214,6 +216,13 @@ def test_strand_count_above_a_byte():
         factor(MAX_STRANDS + 1, ())
     with pytest.raises(ValueError, match=message):
         gen_factor(MAX_STRANDS + 1, 2, 1)
+
+
+def test_empty_word_above_a_byte():
+    # The bound is checked before the first letter, so an empty word is no exception.
+    message = f"strand count must be in 1..{MAX_STRANDS}, got {MAX_STRANDS + 1}"
+    with pytest.raises(ValueError, match=message):
+        lcf(BraidWord(MAX_STRANDS + 1, ()))
 
 
 def _words(seed, count):

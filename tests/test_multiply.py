@@ -2,12 +2,17 @@
 
 The invariant tests count the left-weighting steps that leave their pair
 unchanged: a pass stops at the first such pair, so each multiplication makes
-at most one, and lcf() at most one per letter.  The properties compare both
-multiplications with the randomized transfer-loop reference and check the
-group laws lcf(u v) = lcf(word(lcf(u)) v) and lcf(w w^-1) = e.
+at most one, and lcf() at most one per letter, since it makes one pass per
+run of letters.  The properties compare both multiplications with the
+randomized transfer-loop reference, lcf() with the letter-by-letter fold it
+replaced, and check the group laws lcf(u v) = lcf(word(lcf(u)) v) and
+lcf(w w^-1) = e.
 """
 
+import importlib.util
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +28,10 @@ from bandforge.normal_form import (
     left_weight_pair,
     right_multiply,
 )
-from bandforge.words import BandLetter, BraidWord
+from bandforge.words import BandLetter, BraidWord, delta_word, parse_word
 
-from conftest import all_chords, random_braid_word, sparse_words
+from conftest import all_chords, counted, random_braid_word, sparse_words
+from lcf_reference import lcf_by_letters
 from transfer_reference import normalize_random_order
 
 PROPERTY_SETTINGS = settings(max_examples=300)
@@ -71,20 +77,32 @@ class TestOnePass:
 
     @pytest.mark.parametrize("n", [3, 4, 6, 12])
     def test_lcf_one_tau_per_letter(self, n, rng, monkeypatch):
-        calls = 0
-        inner = normal_form.tau
-
-        def counted(a, k=1):
-            nonlocal calls
-            calls += 1
-            return inner(a, k)
-
-        monkeypatch.setattr(normal_form, "tau", counted)
+        # Each pass is one left_multiply with one tau, and it multiplies in a
+        # run of one or more letters.
+        calls = Counter()
+        for name in ("tau", "left_multiply"):
+            monkeypatch.setattr(normal_form, name, counted(calls, name, getattr(normal_form, name)))
         for _ in range(50):
             w = random_braid_word(n, rng.randint(5, 40), rng, neg=0.3)
-            calls = 0
+            calls.clear()
             lcf(w)
-            assert calls == len(w), w.render()
+            assert calls["tau"] == calls["left_multiply"] <= len(w), w.render()
+
+    def test_lcf_wide_corpus_fewer_passes_than_letters(self, monkeypatch):
+        # The first round of the benchmark's lcf_wide workload, seed 1.
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        queries = workloads.inputs("lcf_wide", 1, 0)
+        corpus = [parse_word(q["word"], workloads.LCF_N) for q in queries]
+        calls = Counter()
+        monkeypatch.setattr(
+            normal_form, "left_multiply", counted(calls, "passes", normal_form.left_multiply)
+        )
+        for w in corpus:
+            lcf(w)
+        assert calls["passes"] < sum(map(len, corpus))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_delta_passes_every_factor(self, n):
@@ -125,6 +143,18 @@ class TestOnePass:
                     assert product.power == r + 1
         assert found >= 10
 
+    def test_pair_memo_is_bounded(self):
+        # A long-lived process keeps at most maxsize pairs, however many words it reads.
+        info = left_weight_pair.cache_info
+        maxsize, misses = info().maxsize, info().misses
+        assert maxsize is not None
+        rng = random.Random(4099)
+        for _ in range(300):
+            lcf(random_braid_word(12, 100, rng, neg=0.3))
+            assert info().currsize <= maxsize
+        # The words met more pairs than the memo holds.
+        assert info().misses - misses > maxsize
+
     def test_strand_count_mismatch(self):
         form = lcf(random_braid_word(4, 5, random.Random(1)))
         g = enumerate_factors(3)[1]
@@ -141,7 +171,41 @@ def words(n: int, max_size: int = 8):
     )
 
 
+@st.composite
+def run_words(draw, n: int) -> BraidWord:
+    """Words of pieces that make long runs: letters of one sign, a repeated
+    letter, commuting chords, and delta^k; sometimes every letter negative."""
+    chords = all_chords(n)
+    # Chords side by side, or nested: in either family any two commute.
+    half = range(1, n // 2 + 1)
+    families = ([(2 * i, 2 * i - 1) for i in half], [(n + 1 - i, i) for i in half])
+    kinds = st.sampled_from(("run", "repeat", "commuting", "delta"))
+    word = BraidWord(n)
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        sign = draw(st.sampled_from((1, -1)))
+        if kind == "run":
+            piece = draw(st.lists(st.sampled_from(chords), min_size=1, max_size=12))
+        elif kind == "repeat":
+            piece = [draw(st.sampled_from(chords))] * draw(st.integers(2, 6))
+        elif kind == "commuting":
+            piece = draw(st.permutations(draw(st.sampled_from(families))))
+        else:
+            word = word * delta_word(n) ** draw(st.integers(-2, 2))
+            continue
+        word = word * BraidWord(n, tuple(BandLetter(t, s, sign) for t, s in piece))
+    if draw(st.booleans()):
+        word = BraidWord(n, tuple(BandLetter(l.t, l.s, -1) for l in word.letters))
+    return word
+
+
 class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_lcf_matches_letter_by_letter(self, data):
+        n = data.draw(st.integers(2, 16), label="n")
+        w = data.draw(run_words(n), label="word")
+        assert lcf(w) == lcf_by_letters(w), w.render()
+
     @PROPERTY_SETTINGS
     @given(st.data())
     def test_multiplications_match_reference(self, data):
