@@ -194,43 +194,43 @@ def _cmd_catalog(args) -> tuple[dict, str]:
     return payload, "\n".join(lines)
 
 
+def _pair_row(a: CanonicalFactor, b: CanonicalFactor) -> dict:
+    # The pair comes back unchanged exactly when complement(a) ^ b = e.
+    wa, wb = left_weight_pair(a, b)
+    return {
+        "left": a.text(),
+        "right": b.text(),
+        "increasable": wa is not a,
+        "weighted": [wa.text(), wb.text()],
+    }
+
+
 def pair_rows(n: int) -> list[dict]:
     """Left-weighting classification of every ordered factor pair."""
-    rows = []
-    for a in enumerate_factors(n):
-        for b in enumerate_factors(n):
-            # The pair comes back unchanged exactly when complement(a) ^ b = e.
-            wa, wb = left_weight_pair(a, b)
-            rows.append(
-                {
-                    "left": a.text(),
-                    "right": b.text(),
-                    "increasable": wa is not a,
-                    "weighted": [wa.text(), wb.text()],
-                }
-            )
-    return rows
-
-
-def _rotation_class_key(n: int, a: CanonicalFactor, b: CanonicalFactor) -> tuple[str, str]:
-    return min((tau(a, k).text(), tau(b, k).text()) for k in range(n))
+    factors = enumerate_factors(n)
+    return [_pair_row(a, b) for a in factors for b in factors]
 
 
 def collapse_rows(n: int) -> list[dict]:
-    """One row per rotation class of ordered pairs, with the orbit size."""
-    classes: dict[tuple[str, str], dict] = {}
+    """One row per rotation class of ordered pairs, with the orbit size.
+
+    Each tau-orbit of pairs is visited once.  Its row is the member with the
+    least (text, text); tau keeps whether a pair is increasable, so that row
+    speaks for the whole orbit.
+    """
     factors = enumerate_factors(n)
-    by_text = {f.text(): f for f in factors}
-    for row in pair_rows(n):
-        a, b = by_text[row["left"]], by_text[row["right"]]
-        key = _rotation_class_key(n, a, b)
-        entry = classes.setdefault(
-            key, {"left": key[0], "right": key[1], "increasable": row["increasable"], "orbit": 0}
-        )
-        entry["orbit"] += 1
-        if (row["left"], row["right"]) == key:
-            entry["weighted"] = row["weighted"]
-    return [classes[k] for k in sorted(classes)]
+    seen: set[tuple[CanonicalFactor, CanonicalFactor]] = set()
+    rows = []
+    for a in factors:
+        for b in factors:
+            if (a, b) in seen:
+                continue
+            orbit = {(tau(a, k), tau(b, k)) for k in range(n)}
+            seen |= orbit
+            row = _pair_row(*min(orbit, key=lambda pair: (pair[0].text(), pair[1].text())))
+            row["orbit"] = len(orbit)
+            rows.append(row)
+    return sorted(rows, key=lambda row: (row["left"], row["right"]))
 
 
 def _cmd_tables(args) -> tuple[dict, str]:

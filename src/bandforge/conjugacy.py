@@ -205,7 +205,11 @@ def _sss_walk(
     The representative comes first, before any conjugation, so a caller that
     stops there does no closure work.  Each new element Y joins with its
     tau-orbit, tau^k(Y) with the steps of Y followed by k steps (delta, 1),
-    and only Y is expanded.  A conjugator f is rejected on inf after
+    and only Y is expanded.  The next member of an orbit is the current one
+    with each factor rotated, read from a dict kept for the walk that maps
+    each factor met to its tau, filled on first use: nothing is tabulated
+    before the representative is yielded, so a caller that stops there also
+    works above ENUMERATION_BOUND.  A conjugator f is rejected on inf after
     right_multiply(W, f) alone: f^-1 W f keeps inf p iff a delta formed or
     tau^p(f) precedes the first factor of W f (see the module docstring for
     the derivation).  Delta is not tried, and a factor above a keeper of
@@ -218,6 +222,7 @@ def _sss_walk(
     target = (p, data.sup_conj)
     delta = (delta_factor(n), 1)
     seen: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = {}
+    rotated: dict[CanonicalFactor, CanonicalFactor] = {}
 
     def join_orbit(y: LeftCanonicalForm, path: tuple[SignedFactor, ...]):
         x = y
@@ -226,7 +231,8 @@ def _sss_walk(
                 raise BudgetExceededError(len(seen), limit)
             seen[x] = path
             yield x, path
-            x = LeftCanonicalForm(n, p, tuple([tau(a) for a in x.factors]))
+            fs = [rotated.get(a) or rotated.setdefault(a, tau(a)) for a in x.factors]
+            x = LeftCanonicalForm(n, p, tuple(fs))
             if x == y:
                 return
             path += (delta,)

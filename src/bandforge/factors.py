@@ -45,8 +45,9 @@ Everything here is a pure function of immutable values, and concurrent
 readers are safe: the intern keys are immutable bytes, whose hash is cached,
 and dict.setdefault makes the first factor stored for a permutation the one
 every thread gets.  _blocks is the only field set after construction, and
-every thread that sets it stores an equal tuple.  Complements, rotations and
-the prefix order are also cached in module-level memo tables.
+every thread that sets it stores an equal tuple.  Complements and rotations
+are also cached in module-level memo tables; the prefix order, one
+translate, is not.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ class CanonicalFactor:
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[bytes, bytes, bytes]:
-    """The identity 0..n, the padding n+1..255, and delta's permutation.
+def _tables(n: int) -> tuple[bytes, bytes]:
+    """The identity 0..n and delta's permutation, k -> k - 1 (1 -> n).
 
-    A permutation of 0..n plus the padding is a bytes.translate table;
-    delta's permutation is k -> k - 1 (1 -> n).
+    A permutation or label array of 0..n padded by ljust(256) is a
+    bytes.translate table; translating bytes of 0..n never reads the padding.
     """
-    return bytes(range(n + 1)), bytes(range(n + 1, 256)), bytes((0, n, *range(1, n)))
+    return bytes(range(n + 1)), bytes((0, n, *range(1, n)))
 
 
 #: Every factor built so far, keyed by its own permutation.
@@ -187,23 +188,18 @@ def _from_perm(p: bytes) -> CanonicalFactor:
     return f
 
 
-def _perm_of(label: Sequence[int]) -> bytes:
-    """The permutation of the partition with these labels (entry 0 unused)."""
-    # Until the scan ends, a block's least element maps to its last element so far.
-    perm = bytearray(range(len(label)))
-    for k in range(1, len(label)):
-        if (l := label[k]) != k:
-            perm[k], perm[l] = perm[l], k
-    return bytes(perm)
-
-
 def _from_labels(label: Sequence[int]) -> CanonicalFactor:
     """The interned factor with these labels: label[k] is the least element of k's block.
 
     Entry 0 is unused.  The partition must be non-crossing; nothing here
     checks it.
     """
-    return _from_perm(_perm_of(label))
+    # Until the scan ends, a block's least element maps to its last element so far.
+    perm = bytearray(range(len(label)))
+    for k in range(1, len(label)):
+        if (l := label[k]) != k:
+            perm[k], perm[l] = perm[l], k
+    return _from_perm(bytes(perm))
 
 
 def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
@@ -308,11 +304,10 @@ def complement(a: CanonicalFactor) -> CanonicalFactor:
     B = A^-1 * delta; delta's permutation is k -> k - 1 (1 -> n), so B's is
     k -> pa^-1[k - 1].
     """
-    ident, _, delta = _tables(a.n)
+    ident, delta = _tables(a.n)
     return _from_perm(delta.translate(bytes.maketrans(a._perm, ident)))
 
 
-@lru_cache(maxsize=1 << 16)
 def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     """The prefix order A < B: every block of A lies inside a block of B.
 
@@ -322,7 +317,7 @@ def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     if a.n != b.n:
         raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
     lb = b._label
-    return a._label.translate(lb + _tables(a.n)[1]) == lb
+    return a._label.translate(lb.ljust(256)) == lb
 
 
 def _meet_perm(la: bytes, lb: bytes, tails: bytes) -> Optional[bytes]:
@@ -335,7 +330,7 @@ def _meet_perm(la: bytes, lb: bytes, tails: bytes) -> Optional[bytes]:
     when x lies in I, y when y does, and otherwise the first element of I,
     which is then the least of neither block.  So one walk over the tails
     meets every element of I but its least, in increasing order, and builds
-    the permutation as _perm_of does.
+    the permutation as _from_labels does.
     """
     first: dict[tuple[int, int], int] = {}
     perm = None
@@ -365,11 +360,11 @@ def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
 @lru_cache(maxsize=None)
 def _tau_shift(a: CanonicalFactor, shift: int) -> CanonicalFactor:
     n = a.n
-    ident, pad, _ = _tables(n)
+    ident = _tables(n)[0]
     # The rotation r: x -> x + shift (mod n, into 1..n) maps p to r p r^-1.
     r = b"\0" + ident[shift + 1 :] + ident[1 : shift + 1]
     r_inv = b"\0" + ident[n - shift + 1 :] + ident[1 : n - shift + 1]
-    return _from_perm(r_inv.translate(a._perm + pad).translate(r + pad))
+    return _from_perm(r_inv.translate(a._perm.ljust(256)).translate(r.ljust(256)))
 
 
 def tau(a: CanonicalFactor, k: int = 1) -> CanonicalFactor:
@@ -386,12 +381,7 @@ def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]
     """
     if not precedes(b, complement(a)):
         return None
-    return _product(a, b)
-
-
-def _product(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
-    """The factor A*B for a prefix B of complement(A): k -> pa[pb[k]]."""
-    return _from_perm(b._perm.translate(a._perm + _tables(a.n)[1]))
+    return _from_perm(b._perm.translate(a._perm.ljust(256)))
 
 
 def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFactor, CanonicalFactor]:
@@ -405,10 +395,9 @@ def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFacto
     pc = _meet_perm(complement(a)._label, b._label, b._tails)
     if pc is None:
         return a, b
-    ident, pad, _ = _tables(a.n)
     return (
-        _from_perm(pc.translate(a._perm + pad)),
-        _from_perm(b._perm.translate(bytes.maketrans(pc, ident))),
+        _from_perm(pc.translate(a._perm.ljust(256))),
+        _from_perm(b._perm.translate(bytes.maketrans(pc, _tables(a.n)[0]))),
     )
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import random
 import time
 from collections import Counter
 
@@ -14,10 +15,11 @@ import bandforge.normal_form
 import bandforge.positivity
 from bandforge.cli import run
 from bandforge.normal_form import lcf
+from bandforge.positivity import braid_report
 from bandforge.words import MAX_STRANDS, MAX_WORD_LETTERS, parse_word
 
 import summit_corpus
-from conftest import counted, w4
+from conftest import counted, random_braid_word, w4
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 KNOT_7_2_WORD = "a1 a1 a1 a2 A1 a2 a3 A2 a3"
@@ -319,6 +321,17 @@ class TestExitCodes:
         # The representative is the first element the walk yields, so a
         # budget of one settles a class whose representative qualifies.
         out = capture(["classify", "-n", "4", "A1", "--budget", "1", "--json"])
+        assert json.loads(out)["conj_strictly_asqp"] is True
+
+    def test_qualifying_representative_past_enumeration_bound(self):
+        # enumerate_factors stops at n = 8, so at n = 9 only a walk that
+        # settles on the representative before tabulating factors answers.
+        w = random_braid_word(9, 12, random.Random(125), neg=0.1)
+        data = bandforge.positivity.sss_representative(w)
+        assert data.inf_conj == -1
+        assert bandforge.positivity._nb_from_form(data.representative).nb_upper == 1
+        assert braid_report(w).strictly_asqp.holds is True
+        out = capture(["classify", "-n", "9", w.render(), "--budget", "1", "--json"])
         assert json.loads(out)["conj_strictly_asqp"] is True
 
     @pytest.mark.parametrize("command", ["nb", "fdtc"])

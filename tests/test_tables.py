@@ -6,14 +6,18 @@ trivial cases (either side e, either side delta, or A = B).  Together with
 those trivial cases they must cover all 14 x 14 ordered pairs: 132
 nontrivial pairs in 36 rotation classes (30 free orbits of size 4 plus 6
 orbits of size 2 through the rotation-symmetric factors).
+
+collapse_rows, which visits each rotation orbit of pairs once, is checked
+for n = 1..6 against the text-keyed collapse of pair_rows kept below.
 """
 
 import pytest
 
+from bandforge.cli import collapse_rows, pair_rows
 from bandforge.factors import delta_factor, enumerate_factors, identity_factor, tau
 from bandforge.normal_form import left_weight_pair
 
-from conftest import b4
+from conftest import b4, catalan
 from transfer_reference import right_set, starting_set
 
 # Pairs whose product becomes more left weighted, with the terminal
@@ -131,3 +135,31 @@ class TestFullCoverage:
             orbit_sizes[id(row), row[0], row[1]] = orbit_sizes.get((id(row), row[0], row[1]), 0) + 1
         assert sorted(orbit_sizes.values()).count(2) == 6
         assert sorted(orbit_sizes.values()).count(4) == 30
+
+
+def _rotation_class_key(n, a, b):
+    return min((tau(a, k).text(), tau(b, k).text()) for k in range(n))
+
+
+def reference_collapse_rows(n):
+    """The text-keyed collapse: every row of pair_rows, mapped back to factors and rotated."""
+    classes = {}
+    factors = enumerate_factors(n)
+    by_text = {f.text(): f for f in factors}
+    for row in pair_rows(n):
+        a, b = by_text[row["left"]], by_text[row["right"]]
+        key = _rotation_class_key(n, a, b)
+        entry = classes.setdefault(
+            key, {"left": key[0], "right": key[1], "increasable": row["increasable"], "orbit": 0}
+        )
+        entry["orbit"] += 1
+        if (row["left"], row["right"]) == key:
+            entry["weighted"] = row["weighted"]
+    return [classes[k] for k in sorted(classes)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_collapsed_rows_match_text_keyed_reference(n):
+    rows = collapse_rows(n)
+    assert rows == reference_collapse_rows(n)
+    assert sum(row["orbit"] for row in rows) == catalan(n) ** 2
