@@ -23,7 +23,9 @@ is the common refinement.  One pass over the tails of B gives its
 permutation: an element whose labels are x and y lies in the intersection
 of those two blocks, whose least element is x or y when that lies in both,
 and otherwise the first such element seen.  Both meet and the step of left
-weighting, which needs only the meet's permutation, are that pass.
+weighting, which needs only the meet's permutation, are that pass.  The
+step reads only the labels of complement(A), and reads them off the
+complement's permutation when that complement is not interned yet.
 Products and left quotients of factors, when they are factors again, are
 products of the permutations, their cycles being the blocks; the complement
 A^-1 * delta is k -> pa^-1[k - 1], cyclically, and tau conjugates the
@@ -44,17 +46,32 @@ for crossing blocks; every other result is non-crossing by construction.
 Everything here is a pure function of immutable values, and concurrent
 readers are safe: the intern keys are immutable bytes, whose hash is cached,
 and dict.setdefault makes the first factor stored for a permutation the one
-every thread gets.  _blocks is the only field set after construction, and
-every thread that sets it stores an equal tuple.  Complements and rotations
-are also cached in module-level memo tables; the prefix order, one
-translate, is not.
+every thread gets.  _blocks and _complement are the only fields set after
+construction, and every thread that sets one stores an equal tuple or the
+same interned factor.  No module memo keeps a factor alive: a factor keeps
+its own complement, and a rotation is two translates through tables cached
+per (n, shift).
+
+The intern table forgets.  Once it passes max(_SWEEP_FLOOR, twice the
+entries left after the last sweep), the next intern miss sweeps it,
+dropping every entry that only the table holds.  The invariant is that
+every factor a caller can reach is the table's entry for its permutation,
+so identity stays equality: a dropped factor is unreachable, and building
+it again stores the only live object for that permutation.  The sweep
+counts and pops in one chain of C calls (getrefcount, compress, dict.pop)
+that runs no bytecode, so under the GIL no other thread can take a
+reference between the count and the pop.  A free-threaded build
+(sys._is_gil_enabled() false) has no such guarantee and never sweeps.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .words import BandLetter, BraidWord, check_strand_count
@@ -104,6 +121,8 @@ class CanonicalFactor:
     is_identity: bool = field(repr=False)
     is_delta: bool = field(repr=False)
     _blocks: Optional[tuple[tuple[int, ...], ...]] = field(default=None, init=False, repr=False)
+    # Set by complement() on first use; the sweep clears it (see _sweep).
+    _complement: Optional[CanonicalFactor] = field(default=None, init=False, repr=False)
 
     def __reduce__(self):
         # Equality is identity, so a copy or an unpickled factor is the interned one.
@@ -147,12 +166,49 @@ def _tables(n: int) -> tuple[bytes, bytes]:
     return bytes(range(n + 1)), bytes((0, n, *range(1, n)))
 
 
-#: Every factor built so far, keyed by its own permutation.
+#: Every factor that may still be reachable, keyed by its own permutation.
 _INTERN: dict[bytes, CanonicalFactor] = {}
 
 # The slot setters, in field order: an intern miss fills a bare object through
 # them, bypassing the frozen dataclass __init__ and its object.__setattr__ calls.
 _SETTERS = tuple(getattr(CanonicalFactor, name).__set__ for name in CanonicalFactor.__slots__)
+_SET_COMPLEMENT = CanonicalFactor._complement.__set__
+_PERM_OF = CanonicalFactor._perm.__get__
+
+#: An intern miss sweeps the table once it holds more than this many entries
+#: and more than _sweep_above, twice the entries left after the last sweep.
+_SWEEP_FLOOR = 1 << 14
+# A free-threaded build never sweeps (see _sweep).
+_sweep_above = 0 if getattr(sys, "_is_gil_enabled", lambda: True)() else float("inf")
+
+
+def _only_table_refcount() -> int:
+    """What getrefcount reads, in the sweep's own chain, for a value that only its table holds."""
+    table = {b"": object()}
+    return next(map(sys.getrefcount, list(table.values())))
+
+
+_ONLY_TABLE = _only_table_refcount()
+
+
+def _sweep() -> None:
+    """Drop every factor that only the intern table holds (see the module docstring).
+
+    A popped factor is still held by the values list, so nothing is freed,
+    and no bytecode runs, between a count and its pop.  The keys are read
+    off the factors, not off a second snapshot of the table, which other
+    threads may grow meanwhile; a factor that another thread's sweep holds
+    in its list counts one more and stays.  Complement links are cleared
+    first: repeated complements return to the start after at most 2n steps,
+    and such a cycle would keep its members counted forever.
+    """
+    global _sweep_above
+    values = list(_INTERN.values())
+    deque(map(_SET_COMPLEMENT, values, repeat(None)), 0)
+    keys = list(map(_PERM_OF, values))
+    only = map(_ONLY_TABLE.__eq__, map(sys.getrefcount, values))
+    deque(map(_INTERN.pop, compress(keys, only)), 0)
+    _sweep_above = 2 * len(_INTERN)
 
 
 def _from_perm(p: bytes) -> CanonicalFactor:
@@ -175,7 +231,7 @@ def _from_perm(p: bytes) -> CanonicalFactor:
                 add_tail(k)
         f = object.__new__(CanonicalFactor)
         (set_n, set_label, set_perm, set_tails,
-         set_length, set_identity, set_delta, set_blocks) = _SETTERS
+         set_length, set_identity, set_delta, set_blocks, set_complement) = _SETTERS
         set_n(f, n)
         set_label(f, bytes(label))
         set_perm(f, p)
@@ -184,7 +240,11 @@ def _from_perm(p: bytes) -> CanonicalFactor:
         set_identity(f, not tails)
         set_delta(f, len(tails) == n - 1 and n >= 2)
         set_blocks(f, None)
+        set_complement(f, None)
         f = _INTERN.setdefault(p, f)
+        # f is held here, so the sweep keeps it.
+        if (size := len(_INTERN)) > _SWEEP_FLOOR and size > _sweep_above:
+            _sweep()
     return f
 
 
@@ -297,15 +357,41 @@ def factor_to_word(a: CanonicalFactor) -> BraidWord:
     return BraidWord(a.n, tuple(letters))
 
 
-@lru_cache(maxsize=None)
 def complement(a: CanonicalFactor) -> CanonicalFactor:
     """The unique factor B with A*B = delta (a Kreweras-type complement).
 
     B = A^-1 * delta; delta's permutation is k -> k - 1 (1 -> n), so B's is
-    k -> pa^-1[k - 1].
+    k -> pa^-1[k - 1].  A keeps B in a slot, so B lives as long as A does,
+    or until a sweep clears the link.
     """
+    if (c := a._complement) is None:
+        c = _from_perm(_complement_perm(a))
+        _SET_COMPLEMENT(a, c)
+    return c
+
+
+def _complement_perm(a: CanonicalFactor) -> bytes:
     ident, delta = _tables(a.n)
-    return _from_perm(delta.translate(bytes.maketrans(a._perm, ident)))
+    return delta.translate(bytes.maketrans(a._perm, ident))
+
+
+def _complement_label(a: CanonicalFactor) -> bytes | bytearray:
+    """complement(A)'s labels, read off its permutation when it is not interned.
+
+    The factor that travels through a pass of left weighting is mostly new,
+    and so is its complement, whose labels are all the step reads: building
+    and interning it would cost more, and feed the sweep.
+    """
+    if (c := a._complement) is None:
+        q = _complement_perm(a)
+        if (c := _INTERN.get(q)) is None:
+            label = bytearray(_tables(a.n)[0])
+            for k, x in enumerate(q):
+                if x < k:
+                    label[k] = label[x]
+            return label
+        _SET_COMPLEMENT(a, c)
+    return c._label
 
 
 def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
@@ -358,19 +444,24 @@ def meet(a: CanonicalFactor, b: CanonicalFactor) -> CanonicalFactor:
 
 
 @lru_cache(maxsize=None)
-def _tau_shift(a: CanonicalFactor, shift: int) -> CanonicalFactor:
-    n = a.n
+def _rotation(n: int, shift: int) -> tuple[bytes, bytes]:
+    """r^-1 and the translate table of r, for the rotation r: x -> x + shift (mod n, into 1..n)."""
     ident = _tables(n)[0]
-    # The rotation r: x -> x + shift (mod n, into 1..n) maps p to r p r^-1.
     r = b"\0" + ident[shift + 1 :] + ident[1 : shift + 1]
     r_inv = b"\0" + ident[n - shift + 1 :] + ident[1 : n - shift + 1]
-    return _from_perm(r_inv.translate(a._perm.ljust(256)).translate(r.ljust(256)))
+    return r_inv, r.ljust(256)
 
 
 def tau(a: CanonicalFactor, k: int = 1) -> CanonicalFactor:
-    """Conjugation by delta^k: rotates every label by +k (mod n, into 1..n)."""
+    """Conjugation by delta^k: rotates every label by +k (mod n, into 1..n).
+
+    The rotation r by k maps the permutation p to r p r^-1.
+    """
     shift = k % a.n
-    return a if shift == 0 else _tau_shift(a, shift)
+    if shift == 0:
+        return a
+    r_inv, r = _rotation(a.n, shift)
+    return _from_perm(r_inv.translate(a._perm.ljust(256)).translate(r))
 
 
 def diamond(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
@@ -392,7 +483,7 @@ def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFacto
     and C^-1 * B as k -> pc^-1[pb[k]]; C itself is not interned.  C precedes
     complement(A) (it is their meet), so A*C needs no diamond test.
     """
-    pc = _meet_perm(complement(a)._label, b._label, b._tails)
+    pc = _meet_perm(_complement_label(a), b._label, b._tails)
     if pc is None:
         return a, b
     return (

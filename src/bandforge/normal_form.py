@@ -46,8 +46,9 @@ from .factors import (
 from .words import BraidWord, check_strand_count, delta_word
 
 # Most pairs of a long word are met once, so the pair memo keeps a bounded
-# number of recent ones.
-_PAIR_MEMO_SIZE = 1 << 12
+# number of recent ones; n = 5's 1,764 pairs still fit.  Each entry keeps up
+# to four factors in the intern table.
+_PAIR_MEMO_SIZE = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,20 @@ class LeftCanonicalForm:
     n: int
     power: int
     factors: tuple[CanonicalFactor, ...]
+
+    # Hashed on first use and kept: the SSS walk looks every candidate up in
+    # its seen dict, while most forms built by lcf are never hashed.  Not a
+    # field, so eq and repr ignore it.
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.power, self.factors)))
+        return self._hash
+
+    def __reduce__(self):
+        # The hash is of factor identities, so it is not carried into a copy.
+        return LeftCanonicalForm, (self.n, self.power, self.factors)
 
     @property
     def inf(self) -> int:

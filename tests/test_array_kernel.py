@@ -3,9 +3,9 @@
 complement, meet, precedes and tau read each factor's label and permutation
 arrays; transfer_reference keeps the block-based versions they replaced.
 Every result must be the very same interned object, and every factor's
-arrays must agree with its blocks.  complement and tau are called through
-__wrapped__ so that their memo tables cannot answer in their place;
-precedes keeps no memo.
+arrays must agree with its blocks.  complement is computed afresh, its slot
+on the factor cleared first, so that a kept result cannot answer in its
+place; tau and precedes keep no memo.
 
 The arrays are the factor: its blocks are grouped by label only when first
 read, and lcf() never reads them.
@@ -17,12 +17,16 @@ that factor() builds from its blocks.
 A Hypothesis property draws factors of lcf words at n = 8..64, and their
 complements, and checks the kernel and left_weight_pair against the
 references; one seeded word checks the largest strand count, n = 255.
+
+The intern table forgets what only it holds: memory stays flat over a long
+run, and concurrent readers agree while the table is swept under them.
 """
 
 import copy
 import pickle
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
@@ -30,16 +34,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bandforge import factors
 from bandforge.factors import (
     _INTERN,
     _crossing,
-    _tau_shift,
     complement,
     enumerate_factors,
     factor,
     gen_factor,
     meet,
     precedes,
+    tau,
 )
 from bandforge.normal_form import lcf, lcf_to_word, left_weight_pair
 from bandforge.words import MAX_STRANDS, BandLetter, BraidWord, permutation, writhe
@@ -53,8 +58,11 @@ from transfer_reference import (
     transfer_left_weight_pair,
 )
 
-fresh_complement = complement.__wrapped__
-fresh_tau = _tau_shift.__wrapped__
+
+def fresh_complement(a):
+    """complement(a) computed anew, not read from the factor's slot."""
+    object.__setattr__(a, "_complement", None)
+    return complement(a)
 
 
 def _assert_arrays(f):
@@ -88,7 +96,7 @@ def _assert_single(a):
     assert c is reference_complement(a), a.text()
     _assert_arrays(c)
     for shift in range(1, a.n):
-        t = fresh_tau(a, shift)
+        t = tau(a, shift)
         assert t is reference_tau(a, shift), (a.text(), shift)
         _assert_arrays(t)
 
@@ -144,7 +152,7 @@ def _assert_non_crossing(results):
 
 def _kernel_results(a, others):
     """a's complement and rotations, and its meet and left weighting with each of others."""
-    results = {fresh_complement(a), *(fresh_tau(a, shift) for shift in range(1, a.n))}
+    results = {fresh_complement(a), *(tau(a, shift) for shift in range(1, a.n))}
     for b in others:
         results.add(meet(a, b))
         results.update(fresh_left_weight_pair(a, b))
@@ -186,7 +194,7 @@ def test_kernel_matches_reference_on_lcf_factors(data):
         assert meet(a, b) is reference_meet(a, b), (a.text(), b.text())
         assert precedes(a, b) is reference_precedes(a, b), (a.text(), b.text())
         shift = data.draw(st.integers(1, n - 1), label="shift")
-        assert fresh_tau(a, shift) is reference_tau(a, shift), (a.text(), shift)
+        assert tau(a, shift) is reference_tau(a, shift), (a.text(), shift)
 
 
 def test_largest_strand_count():
@@ -244,14 +252,25 @@ def test_factors_are_frozen():
     assert f.text() == "{1,3,4}" and f.word_length == 2 and not f.is_delta
 
 
-def test_concurrent_readers_agree():
+def test_concurrent_readers_agree(monkeypatch):
     words = _words(9311, 30)
+    sweep, sizes = factors._sweep, []
+
+    def sweep_often():
+        # However much the table keeps, sweep again after 64 more entries.
+        sweep()
+        sizes.append(len(_INTERN))
+        factors._sweep_above = len(_INTERN) + 64
+
+    monkeypatch.setattr(factors, "_SWEEP_FLOOR", 0)
+    monkeypatch.setattr(factors, "_sweep_above", len(_INTERN) + 64)
+    monkeypatch.setattr(factors, "_sweep", sweep_often)
 
     def read(w):
         form = lcf(w)
         return form.power, form.factors, form.text()
 
-    # Switch threads often, so that they meet inside interning and first block reads.
+    # Switch threads often, so that they meet inside interning, sweeps and first block reads.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -260,5 +279,52 @@ def test_concurrent_readers_agree():
             results = [run.result(timeout=120) for run in runs]
     finally:
         sys.setswitchinterval(interval)
+    assert len(sizes) >= 10, sizes
+    for result in results:
+        for _, fs, _ in result:
+            assert all(_INTERN[f._perm] is f for f in fs)
     single = [read(w) for w in words]
     assert all(result == single for result in results)
+
+
+def test_sweep_frees_complement_cycles():
+    # Repeated complements return to the start after 2n steps, so their links
+    # form a cycle; the sweep clears the links, and the cycle goes with them.
+    f = start = factor(40, [(3, 17, 29), (30, 38)])
+    perms = []
+    for _ in range(80):
+        f = complement(f)
+        perms.append(f._perm)
+    assert f is start and len(set(perms)) == 80
+    del f, start
+    factors._sweep()
+    assert not any(p in _INTERN for p in perms)
+
+
+def _long_word(rng):
+    """A word on 12 strands of 100 letters, exactly 30 of them negative."""
+    letters = list(random_braid_word(12, 100, rng).letters)
+    for i in rng.sample(range(100), 30):
+        letters[i] = letters[i].inverse()
+    return BraidWord(12, tuple(letters))
+
+
+def test_memory_stays_flat():
+    # A long-lived process: once warm, more words do not grow the heap.  The
+    # intern table fills and is swept in turn, so the heap after the warm-up
+    # is held against the highest it reached during it.
+    rng = random.Random(4421)
+    words = [_long_word(rng) for _ in range(400)]
+    tracemalloc.start()
+    try:
+        for w in words[:100]:
+            lcf(w)
+        warm, warm_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for w in words[100:]:
+            lcf(w)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - warm < 2 << 20, (warm, after)
+    assert peak - warm_peak < 2 << 20, (warm_peak, peak)

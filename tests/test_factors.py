@@ -25,7 +25,7 @@ from bandforge.factors import (
     star,
     tau,
 )
-from bandforge.normal_form import lcf
+from bandforge.normal_form import LeftCanonicalForm, lcf
 from bandforge.render import DiskLayout
 from bandforge.words import delta_word, parse_word
 
@@ -157,6 +157,18 @@ class TestHashEquality:
             for text in ("", "a(2,1)", "A(2,1) d^2 a(2,1) a(2,1)"):
                 form = lcf(parse_word(text, n))
                 assert hash(form) == hash((form.n, form.power, form.factors))
+
+    def test_normal_form_hash_kept(self):
+        form = lcf(parse_word("A(2,1) d^2 a(2,1) a(3,1)", 4))
+        assert "_hash" not in vars(form)
+        h = hash(form)
+        assert vars(form)["_hash"] == h == hash(form)
+        # Kept out of eq, repr and copies; equal forms hash equal.
+        equal = LeftCanonicalForm(form.n, form.power, form.factors)
+        assert "_hash" not in vars(equal) and equal == form and hash(equal) == h
+        assert "_hash" not in repr(form)
+        for other in (copy.copy(form), copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
+            assert "_hash" not in vars(other) and other == form and hash(other) == h
 
 
 class TestFactorWord:
