@@ -29,9 +29,8 @@ left_divide(h, form), as h^-1 = delta^-1 tau^-1(complement(h)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .factors import (
     CanonicalFactor,
@@ -51,27 +50,15 @@ from .words import BraidWord, check_strand_count, delta_word
 _PAIR_MEMO_SIZE = 1 << 11
 
 
-@dataclass(frozen=True)
-class LeftCanonicalForm:
-    """delta^power A_1 ... A_k with pairwise maximal left weighting."""
+class LeftCanonicalForm(NamedTuple):
+    """delta^power A_1 ... A_k with pairwise maximal left weighting.
+
+    A named tuple (n, power, factors), equal to that plain tuple; len(form) is 3.
+    """
 
     n: int
     power: int
     factors: tuple[CanonicalFactor, ...]
-
-    # Hashed on first use and kept: the SSS walk looks every candidate up in
-    # its seen dict, while most forms built by lcf are never hashed.  Not a
-    # field, so eq and repr ignore it.
-    _hash = None
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.power, self.factors)))
-        return self._hash
-
-    def __reduce__(self):
-        # The hash is of factor identities, so it is not carried into a copy.
-        return LeftCanonicalForm, (self.n, self.power, self.factors)
 
     @property
     def inf(self) -> int:
@@ -224,6 +211,8 @@ def signed_word(n: int, power: int, entries: Iterable[SignedFactor]) -> BraidWor
     """The word delta^power E_1 ... E_m: each entry's factor word, or its inverse."""
     letters = list((delta_word(n) ** power).letters)
     for f, sign in entries:
+        if f.n != n:
+            raise ValueError(f"entry on {f.n} strands in a B_{n} word")
         word = factor_to_word(f)
         letters += (word if sign > 0 else word.inverse()).letters
     return BraidWord(n, tuple(letters))

@@ -50,3 +50,7 @@ def test_every_exported_dataclass_is_frozen():
     classes = [getattr(bandforge, n) for n in bandforge.__all__]
     records = [c for c in classes if isinstance(c, type) and dataclasses.is_dataclass(c)]
     assert records and [c.__name__ for c in records if not c.__dataclass_params__.frozen] == []
+    # A named tuple is immutable only while its class adds no instance dict.
+    tuples = [c for c in classes if isinstance(c, type) and issubclass(c, tuple)]
+    assert {"BandLetter", "LeftCanonicalForm"} <= {c.__name__ for c in tuples}
+    assert [c.__name__ for c in tuples if c.__dictoffset__ != 0] == []

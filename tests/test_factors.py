@@ -159,16 +159,19 @@ class TestHashEquality:
                 assert hash(form) == hash((form.n, form.power, form.factors))
 
     def test_normal_form_hash_kept(self):
+        # Forms built apart, and copies of one, are equal and hash equal, and
+        # a copy holds the interned factors themselves.
         form = lcf(parse_word("A(2,1) d^2 a(2,1) a(3,1)", 4))
-        assert "_hash" not in vars(form)
-        h = hash(form)
-        assert vars(form)["_hash"] == h == hash(form)
-        # Kept out of eq, repr and copies; equal forms hash equal.
         equal = LeftCanonicalForm(form.n, form.power, form.factors)
-        assert "_hash" not in vars(equal) and equal == form and hash(equal) == h
-        assert "_hash" not in repr(form)
+        assert equal == form and hash(equal) == hash(form)
         for other in (copy.copy(form), copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
-            assert "_hash" not in vars(other) and other == form and hash(other) == h
+            assert type(other) is LeftCanonicalForm
+            assert other == form and hash(other) == hash(form)
+            assert all(a is b for a, b in zip(other.factors, form.factors))
+        assert repr(form) == f"LeftCanonicalForm(n=4, power={form.power}, factors={form.factors!r})"
+        # The README's promise: a form is the plain tuple (n, power, factors).
+        n, power, factors = form
+        assert form == (n, power, factors) and len(form) == 3
 
 
 class TestFactorWord:

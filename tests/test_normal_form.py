@@ -2,12 +2,13 @@
 
 import pytest
 
-from bandforge.factors import delta_factor, enumerate_factors, factor_to_word
+from bandforge.factors import delta_factor, enumerate_factors, factor_to_word, gen_factor
 from bandforge.normal_form import (
     LeftCanonicalForm,
     lcf,
     lcf_to_word,
     left_weight_pair,
+    signed_word,
 )
 from bandforge.words import BraidWord, delta_word, parse_word, permutation, writhe
 
@@ -139,6 +140,13 @@ class TestLcfToWord:
             w = random_braid_word(n, rng.randint(0, 10), rng, neg=0.4)
             form = lcf(w)
             assert lcf(lcf_to_word(form)) == form
+
+    def test_mixed_strand_counts_rejected(self):
+        # A factor on fewer strands is an error, never an implicit embedding.
+        with pytest.raises(ValueError, match="entry on 3 strands in a B_5 word"):
+            signed_word(5, 0, [(gen_factor(3, 2, 1), 1)])
+        with pytest.raises(ValueError, match="entry on 3 strands in a B_6 word"):
+            lcf_to_word(LeftCanonicalForm(6, 1, (gen_factor(3, 2, 1),)))
 
 
 class TestSoundness:
