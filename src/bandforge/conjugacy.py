@@ -32,6 +32,10 @@ two multiplications of a normal form by one factor each,
 
     f^-1 W f = left_divide(f, right_multiply(W, f)).
 
+W f has inf p or p + 1 for inf(W) = p, so the left division is one pass
+of tau^(p-1) or tau^p of complement(f); the walk rotates every
+conjugator's complement both ways once, when its closure starts.
+
 Cycling and decycling are one multiplication each, of the normal form
 delta^r A_2 ... A_k by tau^-r(A_1) on the right, and of delta^r A_1 ... A_{k-1}
 by A_k on the left.
@@ -75,14 +79,22 @@ freely reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .factors import CanonicalFactor, delta_factor, enumerate_factors, precedes, tau
+from .factors import (
+    CanonicalFactor,
+    complement,
+    delta_factor,
+    enumerate_factors,
+    precedes,
+    tau,
+)
 from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
+    _left_pass,
     lcf,
-    left_divide,
     left_multiply,
     right_multiply,
     signed_word,
@@ -214,7 +226,9 @@ def _sss_walk(
     tau^p(f) precedes the first factor of W f (see the module docstring for
     the derivation).  Delta is not tried, and a factor above a keeper of
     the node found earlier is skipped (the minimal-conjugator rule in the
-    module docstring).  The budget is checked before the first element.
+    module docstring); the factors above a keeper are listed on its first
+    keep and kept for later walks.  The budget is checked before the first
+    element.
     """
     limit = resolve_budget(budget)
     n = data.representative.n
@@ -238,36 +252,48 @@ def _sss_walk(
             path += (delta,)
 
     yield from join_orbit(data.representative, ())
-    # Shortest first (enumerate_factors order), so every factor below f comes before it.
-    conjugators = [
-        (f, tau(f, p))
-        for f in enumerate_factors(n)
-        if not (f.is_identity or f.is_delta)
-    ]
-    # above[g]: the conjugators that g precedes, built when g first keeps a node.
-    above: dict[CanonicalFactor, list[CanonicalFactor]] = {}
+    # Shortest first (enumerate_factors order), so every factor below f comes
+    # before it; c_shifted[r - p] is tau^(r-1)(complement(f)) for inf(W f) = r.
+    conjugators = []
+    for f in enumerate_factors(n):
+        if not (f.is_identity or f.is_delta):
+            c = complement(f)
+            conjugators.append((f, tau(f, p), (tau(c, p - 1), tau(c, p))))
     queue = [data.representative]
     while queue:
         current = queue.pop()
         base_path = seen[current]
         # The conjugators above a keeper of current: each is skipped.
         blocked: set[CanonicalFactor] = set()
-        for f, f_shifted in conjugators:
+        for f, f_shifted, c_shifted in conjugators:
             if f in blocked:
                 continue
             right = right_multiply(current, f)
             if not _keeps_inf(right, f_shifted, p):
                 continue
-            candidate = left_divide(f, right)
+            r = right.power
+            candidate = _left_pass(c_shifted[r - p], LeftCanonicalForm(n, r - 1, right.factors))
             if (candidate.power, candidate.sup) != target:
                 continue
-            if f not in above:
-                above[f] = [h for h, _ in conjugators if precedes(f, h)]
-            blocked.update(above[f])
+            blocked.update(_conjugators_above(f))
             if candidate in seen:
                 continue
             yield from join_orbit(candidate, base_path + ((f, 1),))
             queue.append(candidate)
+
+
+@lru_cache(maxsize=None)
+def _conjugators_above(f: CanonicalFactor) -> tuple[CanonicalFactor, ...]:
+    """The factors other than e and delta that f precedes, f included.
+
+    Kept per factor across walks, and built when f first keeps a node, so a
+    walk that stops at its representative tabulates nothing.
+    """
+    return tuple(
+        h
+        for h in enumerate_factors(f.n)
+        if not (h.is_identity or h.is_delta) and precedes(f, h)
+    )
 
 
 def sss_enumerate(

@@ -16,7 +16,8 @@ A factor is two byte arrays of length n + 1 (entry 0 is 0), so n <= 255:
 It also keeps its tails, the elements that are not the least of their
 block, in increasing order.  Its word length (the number of tails) and
 flags are counted when it is built; its sorted blocks are grouped by label
-only when first read (text, JSON, words, SVG).
+only when first read (text, JSON, SVG); a factor's word is read off its
+permutation.
 
 The prefix order is refinement, so the greatest common prefix A ^ B (meet)
 is the common refinement.  One pass over the tails of B gives its
@@ -343,6 +344,28 @@ def enumerate_factors(n: int) -> tuple[CanonicalFactor, ...]:
     )
 
 
+def _factor_letters(a: CanonicalFactor, sign: int = 1) -> tuple[BandLetter, ...]:
+    """The letters of factor_to_word(a) (sign 1), or of its inverse (sign -1).
+
+    Read off the permutation, k -> the previous element of k's block: a tail
+    k is the largest element of its block exactly when the block's least
+    element maps to it, and walking down from there by k -> p[k] meets the
+    block in decreasing order until p[k] > k.  The inverse is the same
+    letters reversed, each with the sign flipped.
+    """
+    p, label = a._perm, a._label
+    letters = []
+    for top in reversed(a._tails):
+        if p[label[top]] == top:
+            k = top
+            while (lower := p[k]) < k:
+                letters.append(BandLetter(k, lower, sign))
+                k = lower
+    if sign < 0:
+        letters.reverse()
+    return tuple(letters)
+
+
 def factor_to_word(a: CanonicalFactor) -> BraidWord:
     """A positive word for the factor, length n - #blocks.
 
@@ -350,11 +373,7 @@ def factor_to_word(a: CanonicalFactor) -> BraidWord:
     emitted in descending order of their maximum.  Any emission order gives
     the same braid since distinct blocks commute.
     """
-    letters = []
-    for block in sorted(a.blocks, key=max, reverse=True):
-        for hi, lo in zip(block[::-1], block[-2::-1]):
-            letters.append(BandLetter(hi, lo, 1))
-    return BraidWord(a.n, tuple(letters))
+    return BraidWord(a.n, _factor_letters(a))
 
 
 def complement(a: CanonicalFactor) -> CanonicalFactor:

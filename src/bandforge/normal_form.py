@@ -34,10 +34,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .factors import (
     CanonicalFactor,
+    _factor_letters,
     _left_weight,
     complement,
     diamond,
-    factor_to_word,
     gen_factor,
     meet,
     tau,
@@ -121,11 +121,19 @@ def left_weight_pair(
 
 def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
     """The normal form of g * form: one pass to the right, (g, A_i) -> (D_i, g)."""
+    if g.n != form.n:
+        raise ValueError(f"factor on {g.n} strands in a B_{form.n} normal form")
+    return _left_pass(tau(g, form.power), form)
+
+
+def _left_pass(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
+    """The normal form of delta^r g A_1 ... A_k, for form = delta^r A_1 ... A_k.
+
+    That is tau^-r(g) * form: left_multiply rotates its factor first, and a
+    caller that holds the rotated factor already passes it here.
+    """
     n = form.n
-    if g.n != n:
-        raise ValueError(f"factor on {g.n} strands in a B_{n} normal form")
     fs = form.factors
-    g = tau(g, form.power)
     out: list[CanonicalFactor] = []
     i = 0
     while i < len(fs) and not g.is_identity:
@@ -208,13 +216,12 @@ SignedFactor = tuple[CanonicalFactor, int]
 
 
 def signed_word(n: int, power: int, entries: Iterable[SignedFactor]) -> BraidWord:
-    """The word delta^power E_1 ... E_m: each entry's factor word, or its inverse."""
-    letters = list((delta_word(n) ** power).letters)
+    """The word delta^power E_1 ... E_m: each entry's factor letters, or their inverse."""
+    letters = list((delta_word(n) ** power).letters) if power else []
     for f, sign in entries:
         if f.n != n:
             raise ValueError(f"entry on {f.n} strands in a B_{n} word")
-        word = factor_to_word(f)
-        letters += (word if sign > 0 else word.inverse()).letters
+        letters += _factor_letters(f, sign)
     return BraidWord(n, tuple(letters))
 
 

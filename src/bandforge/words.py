@@ -116,10 +116,13 @@ def delta_word(n: int) -> BraidWord:
 
 # Token grammar.  Whitespace-separated tokens; lowercase positive, uppercase
 # inverse; "d"/"D" expand to the descending word for delta / its inverse.
-_BAND_RE = re.compile(r"^([aAbB])\((\d+),(\d+)\)(?:\^(-?\d+))?$")
-_ARTIN_RE = re.compile(r"^([sS])(\d+)(?:\^(-?\d+))?$")
-_DELTA_RE = re.compile(r"^([dD])(?:\^(-?\d+))?$")
-_ALIAS_RE = re.compile(r"^([aAbB])([0-9])(?:\^(-?\d+))?$")
+# Digits are ASCII only: int() would also read other Unicode digits.
+_BAND_RE = re.compile(r"([aAbB])\(([0-9]+),([0-9]+)\)(?:\^(-?[0-9]+))?")
+_ARTIN_RE = re.compile(r"([sS])([0-9]+)(?:\^(-?[0-9]+))?")
+_DELTA_RE = re.compile(r"([dD])(?:\^(-?[0-9]+))?")
+_ALIAS_RE = re.compile(r"([aAbB])([0-9])(?:\^(-?[0-9]+))?")
+
+_SIGN = {"a": 1, "b": 1, "s": 1, "A": -1, "B": -1, "S": -1}
 
 # Kang-Ko-Lee style shorthand for the six B_4 generators.
 _B4_ALIASES = {
@@ -147,55 +150,70 @@ def check_strand_count(n: int) -> None:
         raise ValueError(f"strand count must be in 1..{MAX_STRANDS}, got {n}")
 
 
+def _too_long(pos: int, token: str) -> ParseError:
+    return ParseError(
+        f"token {pos} {token!r}: the word would have more than {MAX_WORD_LETTERS} letters"
+    )
+
+
+def _token_letters(token: str, pos: int, n: int) -> tuple[BandLetter, ...]:
+    """The letters one token expands to, power applied; ParseError if it is malformed.
+
+    The letter count is checked against MAX_WORD_LETTERS before expanding.
+    """
+    if m := _BAND_RE.fullmatch(token):
+        kind, i, j, power = m.groups()
+        i, j = int(i), int(j)
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(
+                f"token {pos} {token!r}: strand indices must be distinct and in 1..{n}"
+            )
+        unit = (BandLetter(i, j, _SIGN[kind]) if i > j else BandLetter(j, i, _SIGN[kind]),)
+    elif m := _ARTIN_RE.fullmatch(token):
+        kind, i, power = m.groups()
+        i = int(i)
+        if not 1 <= i <= n - 1:
+            raise ParseError(f"token {pos} {token!r}: Artin index must be in 1..{n - 1}")
+        unit = (BandLetter(i + 1, i, _SIGN[kind]),)
+    elif m := _DELTA_RE.fullmatch(token):
+        kind, power = m.groups()
+        unit = delta_word(n).letters if kind == "d" else delta_word(n).inverse().letters
+    elif (m := _ALIAS_RE.fullmatch(token)) and n == 4:
+        kind, idx, power = m.groups()
+        if (chord := _B4_ALIASES.get((kind.lower(), int(idx)))) is None:
+            raise ParseError(f"token {pos} {token!r}: unknown B4 generator alias")
+        unit = (BandLetter(*chord, _SIGN[kind]),)
+    else:
+        raise ParseError(f"token {pos} {token!r}: not a valid word token")
+    if power is None:
+        return unit
+    power = int(power)
+    if len(unit) * abs(power) > MAX_WORD_LETTERS:
+        raise _too_long(pos, token)
+    if power < 0:
+        unit = tuple(l.inverse() for l in reversed(unit))
+    return unit * abs(power)
+
+
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse word text into a BraidWord on n strands.
 
     Grammar (whitespace separated): a(i,j) band letters, s<i> Artin letters,
     d for delta, each with an optional ^k power; uppercase means inverse.
-    The B_4 aliases a1..a4, b1, b2 are accepted when n == 4.  A word that
-    expands to more than MAX_WORD_LETTERS letters is rejected.
+    Indices and powers are ASCII digits.  The B_4 aliases a1..a4, b1, b2 are
+    accepted when n == 4.  A word that expands to more than MAX_WORD_LETTERS
+    letters is rejected.  Each distinct token text is matched and expanded
+    once per call, and its letters are reused wherever it repeats.
     """
     letters: list[BandLetter] = []
+    expansions: dict[str, tuple[BandLetter, ...]] = {}
+    room = MAX_WORD_LETTERS
     for pos, token in enumerate(text.split(), start=1):
-        if m := _BAND_RE.match(token):
-            kind, i, j = m.group(1), int(m.group(2)), int(m.group(3))
-            if i == j or not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(
-                    f"token {pos} {token!r}: strand indices must be distinct and in 1..{n}"
-                )
-            sign = 1 if kind.islower() else -1
-            power = 1 if m.group(4) is None else int(m.group(4))
-            unit = (BandLetter(max(i, j), min(i, j), sign),)
-        elif m := _ARTIN_RE.match(token):
-            kind, i = m.group(1), int(m.group(2))
-            if not 1 <= i <= n - 1:
-                raise ParseError(f"token {pos} {token!r}: Artin index must be in 1..{n - 1}")
-            sign = 1 if kind.islower() else -1
-            power = 1 if m.group(3) is None else int(m.group(3))
-            unit = (BandLetter(i + 1, i, sign),)
-        elif m := _DELTA_RE.match(token):
-            sign = 1 if m.group(1).islower() else -1
-            power = sign * (1 if m.group(2) is None else int(m.group(2)))
-            unit = delta_word(n).letters
-        elif (m := _ALIAS_RE.match(token)) and n == 4:
-            kind, idx = m.group(1), int(m.group(2))
-            key = (kind.lower(), idx)
-            if key not in _B4_ALIASES:
-                raise ParseError(f"token {pos} {token!r}: unknown B4 generator alias")
-            t, s = _B4_ALIASES[key]
-            sign = 1 if kind.islower() else -1
-            power = 1 if m.group(3) is None else int(m.group(3))
-            unit = (BandLetter(t, s, sign),)
-        else:
-            raise ParseError(f"token {pos} {token!r}: not a valid word token")
-        if len(letters) + len(unit) * abs(power) > MAX_WORD_LETTERS:
-            raise ParseError(
-                f"token {pos} {token!r}: the word would have more than "
-                f"{MAX_WORD_LETTERS} letters"
-            )
-        if power < 0:
-            unit = tuple(l.inverse() for l in reversed(unit))
-        letters += unit * abs(power)
+        if (expansion := expansions.get(token)) is None:
+            expansion = expansions[token] = _token_letters(token, pos, n)
+        if (room := room - len(expansion)) < 0:
+            raise _too_long(pos, token)
+        letters += expansion
     return BraidWord(n, tuple(letters))
 
 

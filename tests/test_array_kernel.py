@@ -262,6 +262,12 @@ def test_concurrent_readers_agree(monkeypatch):
         sizes.append(len(_INTERN))
         factors._sweep_above = len(_INTERN) + 64
 
+    # Start from a swept table and an empty pair memo, so that the threads
+    # build their factors afresh under the trigger, whatever earlier tests
+    # left interned: the first sweep comes after 64 misses, not after most
+    # of the words are done.
+    left_weight_pair.cache_clear()
+    sweep()
     monkeypatch.setattr(factors, "_SWEEP_FLOOR", 0)
     monkeypatch.setattr(factors, "_sweep_above", len(_INTERN) + 64)
     monkeypatch.setattr(factors, "_sweep", sweep_often)

@@ -11,6 +11,7 @@ import pytest
 
 import bandforge.cli
 import bandforge.conjugacy
+import bandforge.factors
 import bandforge.normal_form
 import bandforge.positivity
 from bandforge.cli import run
@@ -159,10 +160,13 @@ class TestAnalysisCommands:
     def test_summit_search_builds_no_words(self, command, monkeypatch):
         # The 7_2 word reaches its summit (inf 0, so no enumeration) in
         # several cycling steps; none of them may expand a factor to letters.
+        # Every word of a factor is spelled by _factor_letters, through
+        # factor_to_word or signed_word; both bindings are counted.
         calls = Counter()
         for module, name in (
             (bandforge.conjugacy, "signed_word"),
-            (bandforge.normal_form, "factor_to_word"),
+            (bandforge.normal_form, "_factor_letters"),
+            (bandforge.factors, "_factor_letters"),
         ):
             monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
         summits = []

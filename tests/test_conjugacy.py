@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandforge import conjugacy, normal_form
+from bandforge import conjugacy, factors, normal_form
 from bandforge.conjugacy import (
     BudgetExceededError,
     ConjugacyResult,
@@ -259,7 +259,8 @@ class TestSssEnumeration:
             (conjugacy, "BraidWord"),
             (conjugacy, "signed_word"),
             (normal_form, "BraidWord"),
-            (normal_form, "factor_to_word"),
+            (normal_form, "_factor_letters"),
+            (factors, "_factor_letters"),
         ):
             inner = getattr(module, name)
             monkeypatch.setattr(module, name, counted(calls, name, inner))

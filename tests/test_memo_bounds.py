@@ -18,6 +18,8 @@ UNBOUNDED = {
     "bandforge.factors._rotation": "n - 1 shifts per n",
     "bandforge.factors.gen_factor": "n(n-1)/2 generators per n",
     "bandforge.factors.enumerate_factors": "n <= ENUMERATION_BOUND = 8",
+    # Its tuples hold one factor per interval of NC(n): 43,263 at n = 8.
+    "bandforge.conjugacy._conjugators_above": "Catalan(n) factors per n <= ENUMERATION_BOUND",
     "bandforge.cli._parser": "no arguments: one parser",
 }
 
