@@ -4,6 +4,9 @@ Command-line front end.
 JSON (via --json) is the machine interface; the default human output is a
 thin formatter over the same data.  Exit codes: 0 success, 1 user/parse
 error, 2 enumeration budget exceeded or out of memory.
+
+A word argument "-" is read from standard input, for words longer than one
+argv string may hold (128 KiB on Linux); at most one per command.
 """
 
 from __future__ import annotations
@@ -80,6 +83,19 @@ def _parser() -> argparse.ArgumentParser:
     p = add("render", "SVG of a factor (partition text) or of a word's normal form")
     p.add_argument("target", help='partition like "{1,2,3}" or a braid word')
     return parser
+
+
+#: The positional arguments that hold a braid word.
+_WORD_ARGS = ("word", "word1", "word2")
+
+
+def _read_stdin_word(args) -> None:
+    """Replace the one word argument "-" by the text of standard input."""
+    dashes = [name for name in _WORD_ARGS if getattr(args, name, None) == "-"]
+    if len(dashes) > 1:
+        raise ValueError("at most one word argument may be '-' (standard input)")
+    if dashes:
+        setattr(args, dashes[0], sys.stdin.read())
 
 
 def _word(args, attr: str = "word"):
@@ -287,6 +303,7 @@ def run(argv: list[str], out=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         check_strand_count(args.n)
+        _read_stdin_word(args)
         payload, human = _COMMANDS[args.command](args)
         use_json = payload is not None and getattr(args, "json", False)
         text = json.dumps(payload, indent=2, sort_keys=True) if use_json else human

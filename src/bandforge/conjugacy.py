@@ -30,15 +30,18 @@ in the set (the standard convexity fact; imported here without reproof).
 The closure conjugates in factor space, never through words: f^-1 W f is
 two multiplications of a normal form by one factor each,
 
-    f^-1 W f = left_divide(f, right_multiply(W, f)).
+    f^-1 W f = left_divide(f, right_multiply(W, f)),
 
-W f has inf p or p + 1 for inf(W) = p, so the left division is one pass
-of tau^(p-1) or tau^p of complement(f); the walk rotates every
-conjugator's complement both ways once, when its closure starts.
+run as the two passes of normal_form on one copy of W's factors, and a
+form is built only for a candidate that is in the set.  W f has inf p or
+p + 1 for inf(W) = p, so the left division is one pass of tau^(p-1) or
+tau^p of complement(f); both rotations, and tau^p(f), are kept in a table
+per (n, p mod n).
 
 Cycling and decycling are one multiplication each, of the normal form
 delta^r A_2 ... A_k by tau^-r(A_1) on the right, and of delta^r A_1 ... A_{k-1}
-by A_k on the left.
+by A_k on the left.  The summit search runs both on one deque, so a step
+costs its pass, not the length of the form (see sss_representative).
 
 Three exact facts keep the closure small:
 
@@ -50,10 +53,9 @@ Three exact facts keep the closure small:
   W = delta^p A_1 ... A_k,
       delta^p < f^-1 W f  <=>  f delta^p < W f  <=>  tau^p(f) < A_1 ... A_k f,
   and a factor is a prefix of a positive braid iff it is a prefix of the
-  braid's first canonical factor.  So with right = right_multiply(W, f),
-  inf(f^-1 W f) >= p exactly when a delta formed (right.power > p) or
-  tau^p(f) precedes right's first factor; any other f is rejected before
-  the left multiplication.
+  braid's first canonical factor.  So inf(f^-1 W f) >= p exactly when a
+  delta formed in the right pass of W f or tau^p(f) precedes the head that
+  pass leaves; any other f is rejected before the left pass.
 - Minimal conjugators.  Call f a keeper of X when X^f is in the SSS.
   Delta is never tried: X^delta = tau(X) is in the orbit that joined with X.
   The other factors are tried shortest first (enumerate_factors order), and
@@ -78,6 +80,7 @@ freely reduced.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
@@ -94,6 +97,7 @@ from .normal_form import (
     LeftCanonicalForm,
     SignedFactor,
     _left_pass,
+    _right_pass,
     lcf,
     left_multiply,
     right_multiply,
@@ -138,16 +142,6 @@ def decycling(form: LeftCanonicalForm) -> LeftCanonicalForm:
     return left_multiply(form.factors[-1], rest)
 
 
-def _cycling_step(form: LeftCanonicalForm) -> SignedFactor:
-    """The conjugator of cycling a form with k >= 1: the rotated first factor."""
-    return tau(form.factors[0], -form.power), 1
-
-
-def _decycling_step(form: LeftCanonicalForm) -> SignedFactor:
-    """The conjugator of decycling a form with k >= 1: the inverse of the last factor."""
-    return form.factors[-1], -1
-
-
 @dataclass(frozen=True)
 class SummitData:
     """A super summit representative and the conjugator that reaches it.
@@ -184,29 +178,42 @@ def sss_representative(w: Union[BraidWord, LeftCanonicalForm]) -> SummitData:
     (module docstring) the first phase ends at inf_s and the second at sup_s,
     and decycling keeps inf.  Accepts the word or its normal form, so a
     caller that already holds lcf(w) does not recompute it.
+
+    The form delta^power A_1 ... A_k is held as a deque fs in a frame:
+    A_i = tau^shift(fs[i]).  tau is an automorphism, so a pass runs on the
+    stored factors with its factor rotated by tau^-shift.  A delta that
+    cycling forms raises the power by one and turns every factor in front
+    of it into its tau (X delta = delta tau(X)); raising the shift by one
+    does that without touching them, and the factors behind the delta,
+    which that pass wrote, are rotated back by one.  So each step costs its
+    pass, not the length of the form.
     """
     form = w if isinstance(w, LeftCanonicalForm) else lcf(w)
+    n, power, shift = form.n, form.power, 0
+    fs = deque(form.factors)
     steps: list[SignedFactor] = []
     idle = 0
-    while form.factors and idle < form.n - 1:
-        inf = form.power
-        steps.append(_cycling_step(form))
-        form = cycling(form)
-        idle = idle + 1 if form.power == inf else 0
+    while fs and idle < n - 1:
+        # c(W) = delta^r A_2 ... A_k tau^-r(A_1), conjugated by tau^-r(A_1).
+        first = fs.popleft()
+        steps.append((tau(first, shift - power), 1))
+        j = _right_pass(fs, tau(first, -power))
+        if j is None:
+            idle += 1
+            continue
+        power, shift, idle = power + 1, shift + 1, 0
+        for i in range(j, len(fs)):
+            fs[i] = tau(fs[i], -1)
     idle = 0
-    while form.factors and idle < form.n - 1:
-        sup = form.sup
-        steps.append(_decycling_step(form))
-        form = decycling(form)
-        idle = idle + 1 if form.sup == sup else 0
-    return SummitData(form, tuple(steps))
-
-
-def _keeps_inf(right: LeftCanonicalForm, shifted: CanonicalFactor, p: int) -> bool:
-    """Whether inf(f^-1 W f) >= p, from right = W f and shifted = tau^p(f), inf(W) = p."""
-    if right.power > p:
-        return True
-    return precedes(shifted, right.factors[0]) if right.factors else shifted.is_identity
+    while fs and idle < n - 1:
+        # d(W) = delta^r tau^r(A_k) A_1 ... A_(k-1), conjugated by A_k^-1.
+        sup = power + len(fs)
+        last = fs.pop()
+        steps.append((tau(last, shift), -1))
+        power += _left_pass(fs, tau(last, power))
+        idle = idle + 1 if power + len(fs) == sup else 0
+    factors = tuple([tau(a, shift) for a in fs])
+    return SummitData(LeftCanonicalForm(n, power, factors), tuple(steps))
 
 
 def _sss_walk(
@@ -221,22 +228,31 @@ def _sss_walk(
     with each factor rotated, read from a dict kept for the walk that maps
     each factor met to its tau, filled on first use: nothing is tabulated
     before the representative is yielded, so a caller that stops there also
-    works above ENUMERATION_BOUND.  A conjugator f is rejected on inf after
-    right_multiply(W, f) alone: f^-1 W f keeps inf p iff a delta formed or
-    tau^p(f) precedes the first factor of W f (see the module docstring for
-    the derivation).  Delta is not tried, and a factor above a keeper of
-    the node found earlier is skipped (the minimal-conjugator rule in the
-    module docstring); the factors above a keeper are listed on its first
-    keep and kept for later walks.  The budget is checked before the first
-    element.
+    works above ENUMERATION_BOUND.
+
+    A trial of f runs the right pass of W f on a copy of W's factors, then
+    the left pass of the division by f on the same list, and builds a form
+    only for a candidate that is in the set.  f is rejected on inf after the
+    right pass alone: f^-1 W f keeps inf p iff a delta formed or tau^p(f)
+    precedes the head the pass leaves (see the module docstring for the
+    derivation); the factors in front of a delta are rotated from the walk's
+    dict.  The left pass then settles inf and, with the length of the list,
+    sup.  Delta is not tried, and a factor above a keeper of the node found
+    earlier is skipped (the minimal-conjugator rule in the module
+    docstring); the factors above a keeper are listed on its first keep and
+    kept for later walks, as is the table of conjugators for (n, p mod n).
+    The budget is checked before the first element.
     """
     limit = resolve_budget(budget)
     n = data.representative.n
     p = data.inf_conj
-    target = (p, data.sup_conj)
+    sup = data.sup_conj
     delta = (delta_factor(n), 1)
     seen: dict[LeftCanonicalForm, tuple[SignedFactor, ...]] = {}
     rotated: dict[CanonicalFactor, CanonicalFactor] = {}
+
+    def rotate(a: CanonicalFactor) -> CanonicalFactor:
+        return rotated.get(a) or rotated.setdefault(a, tau(a))
 
     def join_orbit(y: LeftCanonicalForm, path: tuple[SignedFactor, ...]):
         x = y
@@ -245,41 +261,61 @@ def _sss_walk(
                 raise BudgetExceededError(len(seen), limit)
             seen[x] = path
             yield x, path
-            fs = [rotated.get(a) or rotated.setdefault(a, tau(a)) for a in x.factors]
-            x = LeftCanonicalForm(n, p, tuple(fs))
+            # tuple() of a list is allocated at its size; tuple(map()) guesses
+            # 10 and shrinks, and such tuples, once freed, overfill the free
+            # list of their final size.
+            x = LeftCanonicalForm(n, p, tuple([rotate(a) for a in x.factors]))
             if x == y:
                 return
             path += (delta,)
 
     yield from join_orbit(data.representative, ())
-    # Shortest first (enumerate_factors order), so every factor below f comes
-    # before it; c_shifted[r - p] is tau^(r-1)(complement(f)) for inf(W f) = r.
-    conjugators = []
-    for f in enumerate_factors(n):
-        if not (f.is_identity or f.is_delta):
-            c = complement(f)
-            conjugators.append((f, tau(f, p), (tau(c, p - 1), tau(c, p))))
+    conjugators = _conjugators(n, p % n)
     queue = [data.representative]
     while queue:
         current = queue.pop()
         base_path = seen[current]
         # The conjugators above a keeper of current: each is skipped.
         blocked: set[CanonicalFactor] = set()
-        for f, f_shifted, c_shifted in conjugators:
+        for f, f_shifted, c_kept, c_carried in conjugators:
             if f in blocked:
                 continue
-            right = right_multiply(current, f)
-            if not _keeps_inf(right, f_shifted, p):
-                continue
-            r = right.power
-            candidate = _left_pass(c_shifted[r - p], LeftCanonicalForm(n, r - 1, right.factors))
-            if (candidate.power, candidate.sup) != target:
+            fs = list(current.factors)
+            j = _right_pass(fs, f)
+            if j is None:
+                if not precedes(f_shifted, fs[0]):
+                    continue
+                power, c = p - 1, c_kept
+            else:
+                fs[:j] = [rotate(a) for a in fs[:j]]
+                power, c = p, c_carried
+            power += _left_pass(fs, c)
+            if power != p or power + len(fs) != sup:
                 continue
             blocked.update(_conjugators_above(f))
+            candidate = LeftCanonicalForm(n, p, tuple(fs))
             if candidate in seen:
                 continue
             yield from join_orbit(candidate, base_path + ((f, 1),))
             queue.append(candidate)
+
+
+@lru_cache(maxsize=None)
+def _conjugators(n: int, shift: int) -> tuple[tuple[CanonicalFactor, ...], ...]:
+    """The closure's conjugators for inf p = shift (mod n): rows (f, tau^p(f), c_kept, c_carried).
+
+    f runs over the factors other than e and delta, shortest first
+    (enumerate_factors order), so every factor below f comes before it.
+    c_kept and c_carried are tau^(r-1)(complement(f)) for inf(W f) = r = p
+    and r = p + 1, the factor of the division's left pass.  Kept for every
+    walk with that n and p mod n.
+    """
+    return tuple(
+        (f, tau(f, shift), tau(c, shift - 1), tau(c, shift))
+        for f in enumerate_factors(n)
+        if not (f.is_identity or f.is_delta)
+        for c in (complement(f),)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -10,27 +10,35 @@ is the canonical length.
 A pair (A, B) is left-weighted in one step: with C = complement(A) ^ B it
 becomes (A*C, C^-1 * B).  A normal form is multiplied by one factor in one
 pass of such steps (the domino rule of Garside theory), which stops at the
-first pair that does not change:
+first pair that does not change.  The two passes are step functions on a
+mutable list (or deque) of factors, changed in place, so a pass that stops
+after i pairs costs O(i) whatever the length of the form:
 
-- g * delta^r A_1 ... A_k = delta^r tau^r(g) A_1 ... A_k; the pass runs to
-  the right, (g, A_i) -> (D_i, g'), and each D_i is final.  A delta can
-  only form at the front, where it joins the power.
-- delta^r A_1 ... A_k * f runs to the left, (A_i, f) -> (f', B_i).  A delta
-  that forms is carried to the front by the pass itself, as
-  (A, delta) -> (delta, tau(A)) is X delta = delta tau(X); it joins the power.
+- g * delta^r A_1 ... A_k = delta^r tau^r(g) A_1 ... A_k; _left_pass runs
+  from the front, (g, A_i) -> (D_i, g'), and each D_i is final.  A delta
+  can only form at the front, where it joins the power.
+- delta^r A_1 ... A_k * f: _right_pass runs from the back,
+  (A_i, f) -> (f', B_i).  Once f' is delta the pass stops: as
+  X delta = delta tau(X), the delta joins the power and every factor in
+  front of it turns into its tau, which the caller applies now
+  (right_multiply, the closure's trial) or in a frame (the summit search
+  in conjugacy).
 
 lcf() reads the word from its last letter to its first and multiplies it in
 on the left by runs: a positive letter g joins the pending factor h while
 g*h is a factor (h <= complement(g)), and a negative letter c joins a
 pending negative run h while h*c is one (c <= complement(h)), since
-c^-1 h^-1 = (h c)^-1.  Each run is one left_multiply(h, form), or one
-left_divide(h, form), as h^-1 = delta^-1 tau^-1(complement(h)).
+c^-1 h^-1 = (h c)^-1.  Each run is one left pass on a deque, of tau^r(h),
+or of tau^(r-1)(complement(h)) with the power lowered by one for a negative
+run, as h^-1 = delta^-1 tau^-1(complement(h)); the form is frozen once, at
+the end.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, MutableSequence, NamedTuple, Optional
 
 from .factors import (
     CanonicalFactor,
@@ -119,37 +127,67 @@ def left_weight_pair(
     return _left_weight(a, b)
 
 
-def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
-    """The normal form of g * form: one pass to the right, (g, A_i) -> (D_i, g)."""
-    if g.n != form.n:
-        raise ValueError(f"factor on {g.n} strands in a B_{form.n} normal form")
-    return _left_pass(tau(g, form.power), form)
+def _left_pass(fs: MutableSequence[CanonicalFactor], g: CanonicalFactor) -> bool:
+    """Multiply the factors fs of a normal form by g on the left, in place.
 
-
-def _left_pass(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
-    """The normal form of delta^r g A_1 ... A_k, for form = delta^r A_1 ... A_k.
-
-    That is tau^-r(g) * form: left_multiply rotates its factor first, and a
-    caller that holds the rotated factor already passes it here.
+    The pass runs from the front, (g, A_i) -> (D_i, g), and stops at the
+    first pair that does not change, so a pass that stops after i pairs
+    reads and writes fs[:i + 1] only, and on a deque costs O(i).  g <= delta, so at most one delta
+    forms, at the front: it is removed and True returned, and the caller
+    raises the power by one.
     """
-    n = form.n
-    fs = form.factors
-    out: list[CanonicalFactor] = []
-    i = 0
-    while i < len(fs) and not g.is_identity:
+    i, k = 0, len(fs)
+    while i < k and not g.is_identity:
         d, b = left_weight_pair(g, fs[i])
         if d is g:  # a weighted pair: nothing to its right changes
             break
-        out.append(d)
+        fs[i] = d
         g = b
         i += 1
     if not g.is_identity:
-        out.append(g)
-    out += fs[i:]
-    # g <= delta, so inf(g * form) <= inf(form) + 1: at most one delta, at the front.
-    if out and out[0].is_delta:
-        return LeftCanonicalForm(n, form.power + 1, tuple(out[1:]))
-    return LeftCanonicalForm(n, form.power, tuple(out))
+        fs.insert(i, g)
+    if fs and fs[0].is_delta:
+        del fs[0]
+        return True
+    return False
+
+
+def _right_pass(fs: MutableSequence[CanonicalFactor], f: CanonicalFactor) -> Optional[int]:
+    """Multiply the factors fs of a normal form by f on the right, in place.
+
+    The pass runs from the back, (A_i, f) -> (f, B_i), and stops at the
+    first pair that does not change, or where a delta forms.  Then
+    A_1 ... A_j delta B = delta tau(A_1) ... tau(A_j) B, as X delta =
+    delta tau(X): the delta is not stored and j is returned, and the caller
+    raises the power and rotates fs[:j], directly or through a frame (see
+    conjugacy.sss_representative).  Otherwise the result is None.
+    """
+    i = len(fs)
+    while i and not f.is_delta:
+        a = fs[i - 1]
+        d, b = left_weight_pair(a, f)
+        if d is a:  # a weighted pair: nothing to its left changes
+            break
+        i -= 1
+        if b.is_identity:
+            del fs[i]
+        else:
+            fs[i] = b
+        f = d
+    if f.is_delta:
+        return i
+    if not f.is_identity:
+        fs.insert(i, f)
+    return None
+
+
+def left_multiply(g: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
+    """The normal form of g * form = delta^r tau^r(g) A_1 ... A_k: one left pass."""
+    if g.n != form.n:
+        raise ValueError(f"factor on {g.n} strands in a B_{form.n} normal form")
+    fs = list(form.factors)
+    power = form.power + _left_pass(fs, tau(g, form.power))
+    return LeftCanonicalForm(form.n, power, tuple(fs))
 
 
 def left_divide(c: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalForm:
@@ -158,27 +196,16 @@ def left_divide(c: CanonicalFactor, form: LeftCanonicalForm) -> LeftCanonicalFor
 
 
 def right_multiply(form: LeftCanonicalForm, f: CanonicalFactor) -> LeftCanonicalForm:
-    """The normal form of form * f: one pass to the left, (A_i, f) -> (f, B_i)."""
+    """The normal form of form * f: one right pass, and the factors in front of a delta rotated."""
     n = form.n
     if f.n != n:
         raise ValueError(f"factor on {f.n} strands in a B_{n} normal form")
-    if f.is_identity:
-        return form
-    fs = form.factors
-    i = len(fs)
-    tail: list[CanonicalFactor] = []
-    while i:
-        a, b = left_weight_pair(fs[i - 1], f)
-        if a is fs[i - 1]:  # a weighted pair: nothing to its left changes
-            break
-        if not b.is_identity:
-            tail.append(b)
-        f = a
-        i -= 1
-    tail.reverse()
-    if f.is_delta:  # carried to the front: i = 0
-        return LeftCanonicalForm(n, form.power + 1, tuple(tail))
-    return LeftCanonicalForm(n, form.power, fs[:i] + (f, *tail))
+    fs = list(form.factors)
+    j = _right_pass(fs, f)
+    if j is None:
+        return LeftCanonicalForm(n, form.power, tuple(fs))
+    fs[:j] = [tau(a) for a in fs[:j]]
+    return LeftCanonicalForm(n, form.power + 1, tuple(fs))
 
 
 def _runs(w: BraidWord) -> Iterator[SignedFactor]:
@@ -203,12 +230,20 @@ def _runs(w: BraidWord) -> Iterator[SignedFactor]:
 
 
 def lcf(w: BraidWord) -> LeftCanonicalForm:
-    """The left canonical form of the braid represented by the word."""
+    """The left canonical form of the braid represented by the word.
+
+    The form grows at the front, in a deque, so a left pass that stops
+    after i pairs costs O(i) whatever the length of the form.
+    """
     check_strand_count(w.n)
-    form = LeftCanonicalForm(w.n, 0, ())
+    fs: deque[CanonicalFactor] = deque()
+    power = 0
     for h, sign in _runs(w):
-        form = left_multiply(h, form) if sign > 0 else left_divide(h, form)
-    return form
+        if sign < 0:  # h^-1 delta^r = delta^(r-1) tau^(r-1)(complement(h))
+            h = complement(h)
+            power -= 1
+        power += _left_pass(fs, tau(h, power))
+    return LeftCanonicalForm(w.n, power, tuple(fs))
 
 
 #: A factor (sign +1) or its inverse (sign -1); the factor itself is always positive.

@@ -43,8 +43,6 @@ from __future__ import annotations
 from bandforge.conjugacy import (
     BudgetExceededError,
     SummitData,
-    _cycling_step,
-    _decycling_step,
     cycling,
     decycling,
     sss_enumerate,
@@ -60,6 +58,7 @@ from bandforge.normal_form import (
 from bandforge.positivity import StrictAsqpVerdict
 from bandforge.words import BraidWord
 
+from pass_reference import cycling_step, decycling_step
 from transfer_reference import reference_precedes
 
 
@@ -89,8 +88,8 @@ def sss_representative_by_orbit(w: BraidWord) -> SummitData:
     steps = []
     while True:
         before = (form.power, form.sup)
-        form = _orbit_phase(form, steps, cycling, _cycling_step)
-        form = _orbit_phase(form, steps, decycling, _decycling_step)
+        form = _orbit_phase(form, steps, cycling, cycling_step)
+        form = _orbit_phase(form, steps, decycling, decycling_step)
         if (form.power, form.sup) == before:
             break
     return SummitData(form, tuple(steps))

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import sys
 import time
 from collections import Counter
 
@@ -192,14 +193,19 @@ class TestAnalysisCommands:
         # A1's summit representative has a factor of length n - 2, which
         # settles conj_strictly_asqp; its super summit set has more
         # elements, and none may be conjugated into.
+        # Every closure trial runs the two passes bound in conjugacy; the
+        # summit search runs them too, so they are counted after it.
         calls = Counter()
         search = bandforge.positivity.sss_representative
 
-        def search_then_count(w):
-            data = search(w)
-            for name in ("right_multiply", "left_multiply"):
+        def count_passes():
+            for name in ("_right_pass", "_left_pass"):
                 counter = counted(calls, name, getattr(bandforge.conjugacy, name))
                 monkeypatch.setattr(bandforge.conjugacy, name, counter)
+
+        def search_then_count(w):
+            data = search(w)
+            count_passes()
             return data
 
         monkeypatch.setattr(bandforge.positivity, "sss_representative", search_then_count)
@@ -207,7 +213,11 @@ class TestAnalysisCommands:
         assert data["conj_strictly_asqp"] is True
         assert calls == {}
         monkeypatch.undo()
-        assert len(bandforge.conjugacy.sss_enumerate(search(w4("A1")))) > 1
+        # The same count sees a closure that does run.
+        summit = search(w4("A1"))
+        count_passes()
+        assert len(bandforge.conjugacy.sss_enumerate(summit)) > 1
+        assert calls["_right_pass"] > 0 and calls["_left_pass"] > 0
 
     @pytest.mark.parametrize("command", ["nb", "fdtc"])
     def test_nb_and_fdtc_walk_no_summit_set(self, command, monkeypatch):
@@ -277,6 +287,40 @@ class TestRender:
         first = capture(["render", "-n", "4", "{1,2}{3,4}"])
         second = capture(["render", "-n", "4", "{1,2}{3,4}"])
         assert first == second
+
+
+class TestStdinWord:
+    """A word argument "-" is read from standard input, at most one per command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lcf", "-n", "4", "WORD"],
+            ["lcf", "-n", "4", "WORD", "--json"],
+            ["classify", "-n", "4", "WORD", "--json"],
+            ["sss", "-n", "4", "WORD", "--enumerate", "--json"],
+            ["conjugate", "-n", "4", "WORD", KNOT_7_2_POSITIVE, "--json"],
+            ["conjugate", "-n", "4", KNOT_7_2_POSITIVE, "WORD", "--json"],
+        ],
+    )
+    def test_same_output_as_argv(self, argv, monkeypatch):
+        expected = capture([KNOT_7_2_WORD if a == "WORD" else a for a in argv])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(KNOT_7_2_WORD + "\n"))
+        assert capture(["-" if a == "WORD" else a for a in argv]) == expected
+
+    def test_two_dashes_rejected(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(KNOT_7_2_WORD))
+        capture(["conjugate", "-n", "4", "-", "-"], expect_code=1)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'-'" in err[0]
+        # Nothing was read: the check comes first.
+        assert sys.stdin.read() == KNOT_7_2_WORD
+
+    def test_parse_error_from_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("a1 a(9,1)"))
+        capture(["lcf", "-n", "4", "-"], expect_code=1)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: token 2")
 
 
 class TestExitCodes:

@@ -12,18 +12,16 @@ from bandforge import conjugacy, factors, normal_form
 from bandforge.conjugacy import (
     BudgetExceededError,
     ConjugacyResult,
-    _cycling_step,
-    _decycling_step,
-    _keeps_inf,
     are_conjugate,
     cycling,
     decycling,
     sss_enumerate,
     sss_representative,
 )
-from bandforge.factors import enumerate_factors, factor_to_word, tau
+from bandforge.factors import enumerate_factors, factor_to_word, precedes, tau
 from bandforge.normal_form import (
     LeftCanonicalForm,
+    _right_pass,
     lcf,
     lcf_to_word,
     left_divide,
@@ -34,6 +32,7 @@ from bandforge.words import BraidWord, parse_word, permutation, writhe
 
 from conftest import catalan, counted, random_braid_word, random_letters, sparse_words, w4
 from oracle import conjugate_ball_search
+from pass_reference import cycling_step, decycling_step
 from sss_reference import (
     conjugators_tried,
     sss_enumerate_by_words,
@@ -77,9 +76,9 @@ class TestCyclingDecycling:
             form = lcf(w)
             if not form.factors:
                 continue
-            q = signed_word(4, 0, (_cycling_step(form),))
+            q = signed_word(4, 0, (cycling_step(form),))
             assert lcf(w.conjugated_by(q)) == cycling(form)
-            q = signed_word(4, 0, (_decycling_step(form),))
+            q = signed_word(4, 0, (decycling_step(form),))
             assert lcf(w.conjugated_by(q)) == decycling(form)
 
     def test_preserves_writhe_and_cycle_type(self, rng):
@@ -122,6 +121,43 @@ class TestSummitRepresentative:
     def test_nb2_word(self):
         data = sss_representative(w4(TWO_BAND_WORD))
         assert data.inf_conj == -1
+
+    # v^-1 delta^m v, whose summit delta^m is reached only after cycling
+    # runs of n - 3 steps that leave inf, each ended by a step that raises
+    # it: a search that stops after n - 3 idle steps misses those gains.
+    # Found by a seeded search over random v (6 in 1.2 million at n = 6);
+    # random words at n = 4-6 almost never idle that long before a gain.
+    LONG_IDLE_CONJUGATES = [
+        (4, 1, "A(4,1) a(2,1) A(4,3) A(3,2) a(4,2)"),
+        (4, 3, "A(4,1) A(3,1) A(3,1) A(3,2) A(4,2) A(3,1)"),
+        (5, 2, "A(3,1) a(3,2) a(3,1) a(5,1) a(2,1) A(3,1) a(3,2)"),
+        (5, 4, "a(5,4) a(4,1) a(4,1) a(4,3) A(2,1) a(5,3) a(3,2)"),
+        (6, 1, "A(5,4) A(5,4) A(4,2) a(6,1) A(3,2) A(3,2)"),
+        (6, 5, "A(3,2) A(2,1) A(6,1) A(6,4) a(5,4) A(4,3)"),
+    ]
+
+    @staticmethod
+    def stops_after(form, idle_bound):
+        """(inf, sup) of the summit search that stops each phase after idle_bound idle steps."""
+        idle = 0
+        while form.factors and idle < idle_bound:
+            inf = form.power
+            form = cycling(form)
+            idle = idle + 1 if form.power == inf else 0
+        idle = 0
+        while form.factors and idle < idle_bound:
+            sup = form.sup
+            form = decycling(form)
+            idle = idle + 1 if form.sup == sup else 0
+        return form.inf, form.sup
+
+    @pytest.mark.parametrize("n, m, v", LONG_IDLE_CONJUGATES)
+    def test_gain_after_longest_idle_run(self, n, m, v):
+        w = parse_word(f"d^{m}", n).conjugated_by(parse_word(v, n))
+        assert self.stops_after(lcf(w), n - 3) != (m, m)
+        data = sss_representative(w)
+        assert data.representative == LeftCanonicalForm(n, m, ())
+        assert lcf(w.conjugated_by(data.witness)) == data.representative
 
     def test_bounds_versus_word_form(self, rng):
         for _ in range(80):
@@ -370,15 +406,20 @@ class TestMinimalConjugators:
 
     @staticmethod
     def enumerate_recording(data, monkeypatch):
-        """sss_enumerate(data), with the factors tried at each expanded node, in order."""
+        """sss_enumerate(data), with the factors tried at each expanded node, in order.
+
+        Every trial starts with one right pass on a copy of the node's
+        factors, so the node is read off the list that pass receives.
+        """
         trials: dict[LeftCanonicalForm, list] = {}
-        inner = conjugacy.right_multiply
+        n, p = data.representative.n, data.inf_conj
+        inner = conjugacy._right_pass
 
-        def recording(form, f):
-            trials.setdefault(form, []).append(f)
-            return inner(form, f)
+        def recording(fs, f):
+            trials.setdefault(LeftCanonicalForm(n, p, tuple(fs)), []).append(f)
+            return inner(fs, f)
 
-        monkeypatch.setattr(conjugacy, "right_multiply", recording)
+        monkeypatch.setattr(conjugacy, "_right_pass", recording)
         try:
             sss_enumerate(data)
         finally:
@@ -424,9 +465,12 @@ class TestClosureInvariants:
         p = data.draw(st.integers(-3, 5), label="power")
         form = LeftCanonicalForm(n, p, lcf(data.draw(sparse_words(n), label="word")).factors)
         for f in enumerate_factors(n):
-            right = right_multiply(form, f)
-            candidate = left_divide(f, right)
-            assert _keeps_inf(right, tau(f, p), p) == (candidate.power >= p)
+            fs = list(form.factors)
+            carried = _right_pass(fs, f)
+            shifted = tau(f, p)
+            head_rule = precedes(shifted, fs[0]) if fs else shifted.is_identity
+            candidate = left_divide(f, right_multiply(form, f))
+            assert (carried is not None or head_rule) == (candidate.power >= p)
 
     @pytest.mark.parametrize("n, samples, max_len", [(3, 10, 8), (4, 10, 10), (5, 6, 8)])
     def test_sss_is_tau_closed(self, n, samples, max_len, rng):
@@ -442,17 +486,17 @@ class TestClosureInvariants:
     @pytest.mark.parametrize("n, samples, max_len", [(3, 10, 8), (4, 10, 10), (5, 6, 8)])
     def test_one_expansion_per_orbit(self, n, samples, max_len, rng, monkeypatch):
         calls = 0
-        inner = conjugacy.right_multiply
+        inner = conjugacy._right_pass
 
-        def counted(form, f):
+        def counted(fs, f):
             nonlocal calls
             calls += 1
-            return inner(form, f)
+            return inner(fs, f)
 
         for _ in range(samples):
             w = random_braid_word(n, rng.randint(0, max_len), rng, neg=0.4)
             data = sss_representative(w)
-            monkeypatch.setattr(conjugacy, "right_multiply", counted)
+            monkeypatch.setattr(conjugacy, "_right_pass", counted)
             calls = 0
             elements = sss_enumerate(data)
             monkeypatch.undo()

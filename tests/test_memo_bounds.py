@@ -2,8 +2,9 @@
 
 A long-lived process must not grow without bound, so every function that
 keeps an lru_cache either has a maxsize or is listed here with the bounded
-domain of its keys.  Factors keep their own complements, and rotations are
-not memoized, so no memo keeps a factor alive by itself.
+domain of its keys.  Factors keep their own complements, and complement and
+tau keep no memo.  The listed memos do keep the factors they hold alive, so
+the intern table's sweep never drops those; their key domains bound them.
 """
 
 import importlib
@@ -20,6 +21,8 @@ UNBOUNDED = {
     "bandforge.factors.enumerate_factors": "n <= ENUMERATION_BOUND = 8",
     # Its tuples hold one factor per interval of NC(n): 43,263 at n = 8.
     "bandforge.conjugacy._conjugators_above": "Catalan(n) factors per n <= ENUMERATION_BOUND",
+    # Catalan(n) - 2 conjugators, each with three rotations: 1,428 rows per key at n = 8.
+    "bandforge.conjugacy._conjugators": "(n, p mod n) for n <= ENUMERATION_BOUND: 36 keys",
     "bandforge.cli._parser": "no arguments: one parser",
 }
 

@@ -77,16 +77,16 @@ class TestOnePass:
 
     @pytest.mark.parametrize("n", [3, 4, 6, 12])
     def test_lcf_one_tau_per_letter(self, n, rng, monkeypatch):
-        # Each pass is one left_multiply with one tau, and it multiplies in a
+        # Each pass is one left pass with one tau, and it multiplies in a
         # run of one or more letters.
         calls = Counter()
-        for name in ("tau", "left_multiply"):
+        for name in ("tau", "_left_pass"):
             monkeypatch.setattr(normal_form, name, counted(calls, name, getattr(normal_form, name)))
         for _ in range(50):
             w = random_braid_word(n, rng.randint(5, 40), rng, neg=0.3)
             calls.clear()
             lcf(w)
-            assert calls["tau"] == calls["left_multiply"] <= len(w), w.render()
+            assert 0 < calls["tau"] == calls["_left_pass"] <= len(w), w.render()
 
     def test_lcf_wide_corpus_fewer_passes_than_letters(self, monkeypatch):
         # The first round of the benchmark's lcf_wide workload, seed 1.
@@ -98,23 +98,25 @@ class TestOnePass:
         corpus = [parse_word(q["word"], workloads.LCF_N) for q in queries]
         calls = Counter()
         monkeypatch.setattr(
-            normal_form, "left_multiply", counted(calls, "passes", normal_form.left_multiply)
+            normal_form, "_left_pass", counted(calls, "passes", normal_form._left_pass)
         )
         for w in corpus:
             lcf(w)
-        assert calls["passes"] < sum(map(len, corpus))
+        assert len(corpus) <= calls["passes"] < sum(map(len, corpus))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_delta_passes_every_factor(self, n):
-        # (A, delta) -> (delta, tau(A)): the right pass carries a delta to the front.
+        # (A, delta) -> (delta, tau(A)): A delta = delta tau(A), the rule of the right pass's carry.
         delta = enumerate_factors(n)[-1]
         for a in enumerate_factors(n)[1:]:
             assert left_weight_pair(a, delta) == (delta, tau(a)), a.text()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_delta_formed_mid_form(self, n, monkeypatch):
-        # A delta that forms at A_j, 1 < j < k, has A_1 ... A_{j-1} left to
-        # carry and B_j ... B_k behind it.
+        # A delta that forms in the right pass at A_(j+1), 0 < j < k - 1, has
+        # A_1 ... A_j in front of it and B_(j+2) ... B_k behind it.  The pass
+        # stops there: it steps no pair with delta and leaves A_1 ... A_j as
+        # they are, and right_multiply rotates them, as X delta = delta tau(X).
         inner = normal_form.left_weight_pair
         calls = []
 
@@ -127,20 +129,23 @@ class TestOnePass:
         found = 0
         for _ in range(40):
             form = lcf(random_braid_word(n, rng.randint(6, 16), rng, neg=0.3))
-            if form.canonical_length < 3:
+            k = form.canonical_length
+            if k < 3:
                 continue
             for f in enumerate_factors(n):
                 calls.clear()
+                fs = list(form.factors)
+                j = normal_form._right_pass(fs, f)
+                if j is None or j == 0 or len(calls) < 2:
+                    continue
+                found += 1
+                assert calls == [False] * (k - j)
+                assert fs[:j] == list(form.factors[:j])
+                r = form.power
                 product = right_multiply(form, f)
-                carried = sum(calls)
-                if carried and len(calls) - carried >= 2:
-                    found += 1
-                    # Once formed, the delta is carried all the way to the front.
-                    k = form.canonical_length
-                    assert calls == [False] * (k - carried) + [True] * carried
-                    r, fs = form.power, form.factors
-                    assert product == normalize_random_order(n, r, fs + (f,), rng)
-                    assert product.power == r + 1
+                rotated = tuple(map(tau, fs[:j])) + tuple(fs[j:])
+                assert product == LeftCanonicalForm(n, r + 1, rotated)
+                assert product == normalize_random_order(n, r, form.factors + (f,), rng)
         assert found >= 10
 
     def test_pair_memo_is_bounded(self):
