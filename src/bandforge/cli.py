@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .conjugacy import (
@@ -35,7 +36,7 @@ from .factors import (
 from .normal_form import lcf, lcf_to_word, left_weight_pair
 from .positivity import braid_report
 from .render import render_svg
-from .words import ParseError, check_strand_count, parse_word
+from .words import check_strand_count, parse_word
 
 
 @functools.cache
@@ -47,8 +48,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, words: int = 0) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler, words: int = 0) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("-n", type=int, required=True, help="strand count")
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
         p.add_argument("-o", metavar="FILE", help="write output to FILE")
@@ -59,28 +61,28 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("word2")
         return p
 
-    add("lcf", "left canonical form of a word", words=1)
+    add("lcf", "left canonical form of a word", _cmd_lcf, words=1)
 
-    p = add("sss", "super summit representative (and optionally the full set)", words=1)
+    p = add("sss", "super summit representative (and optionally the full set)", _cmd_sss, words=1)
     p.add_argument("--enumerate", action="store_true", help="enumerate the whole set")
     p.add_argument("--budget", type=int, help="element budget for enumeration")
 
-    p = add("conjugate", "decide conjugacy of two words", words=2)
+    p = add("conjugate", "decide conjugacy of two words", _cmd_conjugate, words=2)
     p.add_argument("--budget", type=int)
 
-    p = add("classify", "positivity classification report", words=1)
+    p = add("classify", "positivity classification report", _cmd_classify, words=1)
     p.add_argument("--budget", type=int)
 
-    add("nb", "negative band number bounds", words=1)
-    add("fdtc", "fractional Dehn twist coefficient interval", words=1)
+    add("nb", "negative band number bounds", _cmd_nb, words=1)
+    add("fdtc", "fractional Dehn twist coefficient interval", _cmd_fdtc, words=1)
 
-    p = add("catalog", "list the canonical factors with their order structure")
+    p = add("catalog", "list the canonical factors with their order structure", _cmd_catalog)
     p.add_argument("--count", action="store_true", help="print only the count")
 
-    p = add("tables", "classify all ordered factor pairs by left-weightedness")
+    p = add("tables", "classify all ordered factor pairs by left-weightedness", _cmd_tables)
     p.add_argument("--collapse", action="store_true", help="one row per rotation class")
 
-    p = add("render", "SVG of a factor (partition text) or of a word's normal form")
+    p = add("render", "SVG of a factor (partition text) or of a word's normal form", _cmd_render)
     p.add_argument("target", help='partition like "{1,2,3}" or a braid word')
     return parser
 
@@ -281,19 +283,6 @@ def _cmd_render(args) -> tuple[Optional[dict], str]:
     return None, svg
 
 
-_COMMANDS = {
-    "lcf": _cmd_lcf,
-    "sss": _cmd_sss,
-    "conjugate": _cmd_conjugate,
-    "classify": _cmd_classify,
-    "nb": _cmd_nb,
-    "fdtc": _cmd_fdtc,
-    "catalog": _cmd_catalog,
-    "tables": _cmd_tables,
-    "render": _cmd_render,
-}
-
-
 def run(argv: list[str], out=None) -> int:
     out = sys.stdout if out is None else out
     parser = _parser()
@@ -304,19 +293,16 @@ def run(argv: list[str], out=None) -> int:
     try:
         check_strand_count(args.n)
         _read_stdin_word(args)
-        payload, human = _COMMANDS[args.command](args)
+        payload, human = args.handler(args)
         use_json = payload is not None and getattr(args, "json", False)
         text = json.dumps(payload, indent=2, sort_keys=True) if use_json else human
-        if args.o:
-            with open(args.o, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        else:
-            out.write(text if text.endswith("\n") else text + "\n")
+        with open(args.o, "w", encoding="utf-8") if args.o else nullcontext(out) as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
         return 0
     except (BudgetExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,9 +53,10 @@ same interned factor.  No module memo keeps a factor alive: a factor keeps
 its own complement, and a rotation is two translates through tables cached
 per (n, shift).
 
-The intern table forgets.  Once it passes max(_SWEEP_FLOOR, twice the
-entries left after the last sweep), the next intern miss sweeps it,
-dropping every entry that only the table holds.  The invariant is that
+The intern table forgets.  An intern miss that leaves it with more than
+_sweep_above entries sweeps it, dropping every entry that only the table
+holds; _sweep_above starts at _SWEEP_FLOOR, and each sweep sets it to
+max(_SWEEP_FLOOR, twice the entries left).  The invariant is that
 every factor a caller can reach is the table's entry for its permutation,
 so identity stays equality: a dropped factor is unreachable, and building
 it again stores the only live object for that permutation.  The sweep
@@ -140,15 +141,11 @@ class CanonicalFactor:
             object.__setattr__(self, "_blocks", tuple(map(tuple, groups.values())))
         return self._blocks
 
-    def non_singleton_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.blocks if len(b) > 1)
-
     def text(self) -> str:
         """Partition text form, singleton blocks omitted; "e" for the identity."""
-        blocks = self.non_singleton_blocks()
-        if not blocks:
+        if self.is_identity:
             return "e"
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
+        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks if len(b) > 1)
 
     def json_blocks(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -176,11 +173,12 @@ _SETTERS = tuple(getattr(CanonicalFactor, name).__set__ for name in CanonicalFac
 _SET_COMPLEMENT = CanonicalFactor._complement.__set__
 _PERM_OF = CanonicalFactor._perm.__get__
 
-#: An intern miss sweeps the table once it holds more than this many entries
-#: and more than _sweep_above, twice the entries left after the last sweep.
+#: The fewest entries above which an intern miss sweeps the table.
 _SWEEP_FLOOR = 1 << 14
+# An intern miss sweeps once the table holds more than this: _SWEEP_FLOOR at
+# first, then max(_SWEEP_FLOOR, twice the entries left after the last sweep).
 # A free-threaded build never sweeps (see _sweep).
-_sweep_above = 0 if getattr(sys, "_is_gil_enabled", lambda: True)() else float("inf")
+_sweep_above = _SWEEP_FLOOR if getattr(sys, "_is_gil_enabled", lambda: True)() else float("inf")
 
 
 def _only_table_refcount() -> int:
@@ -209,7 +207,7 @@ def _sweep() -> None:
     keys = list(map(_PERM_OF, values))
     only = map(_ONLY_TABLE.__eq__, map(sys.getrefcount, values))
     deque(map(_INTERN.pop, compress(keys, only)), 0)
-    _sweep_above = 2 * len(_INTERN)
+    _sweep_above = max(_SWEEP_FLOOR, 2 * len(_INTERN))
 
 
 def _from_perm(p: bytes) -> CanonicalFactor:
@@ -244,7 +242,7 @@ def _from_perm(p: bytes) -> CanonicalFactor:
         set_complement(f, None)
         f = _INTERN.setdefault(p, f)
         # f is held here, so the sweep keeps it.
-        if (size := len(_INTERN)) > _SWEEP_FLOOR and size > _sweep_above:
+        if len(_INTERN) > _sweep_above:
             _sweep()
     return f
 
@@ -291,11 +289,15 @@ def factor(n: int, blocks: Iterable[Iterable[int]]) -> CanonicalFactor:
 
 
 def identity_factor(n: int) -> CanonicalFactor:
-    return factor(n, ())
+    """The identity e, the all-singletons partition."""
+    check_strand_count(n)
+    return _from_perm(_tables(n)[0])
 
 
 def delta_factor(n: int) -> CanonicalFactor:
-    return factor(n, (tuple(range(1, n + 1)),))
+    """The fundamental element delta, the one-block partition."""
+    check_strand_count(n)
+    return _from_perm(_tables(n)[1])
 
 
 @lru_cache(maxsize=None)
@@ -509,29 +511,6 @@ def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFacto
         _from_perm(pc.translate(a._perm.ljust(256))),
         _from_perm(b._perm.translate(bytes.maketrans(pc, _tables(a.n)[0]))),
     )
-
-
-def star(a: CanonicalFactor, b: CanonicalFactor) -> Optional[CanonicalFactor]:
-    """Join two disjoint single polygons X, Y into one block, when facing.
-
-    Requires each argument to consist of exactly one non-singleton block.
-    Returns None when the blocks interleave (no facing pair exists);
-    otherwise the merged factor, which as a braid is A*B*C for the joining
-    edge generator C.  star is commutative.
-    """
-    if a.n != b.n:
-        raise ValueError(f"mismatched strand counts {a.n} and {b.n}")
-    xs, ys = a.non_singleton_blocks(), b.non_singleton_blocks()
-    if len(xs) != 1 or len(ys) != 1:
-        raise ValueError("star needs factors that are single polygons")
-    x, y = xs[0], ys[0]
-    if set(x) & set(y):
-        raise ValueError(f"polygon vertex sets overlap at {sorted(set(x) & set(y))}")
-    # a labels x by its least element and every other k by k, b likewise y,
-    # so the elementwise minimum labels the partition {x, y, singletons}.
-    if _crossing(tuple(map(min, a._label, b._label))):
-        return None
-    return factor(a.n, (x + y,))
 
 
 _PARTITION_RE = re.compile(r"^(\{\d+(,\d+)*\})+$")

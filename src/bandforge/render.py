@@ -76,26 +76,17 @@ def _document(body: list[str], width: float) -> str:
     return "\n".join([header, *body, "</svg>"]) + "\n"
 
 
-def render_factor_svg(a: CanonicalFactor) -> str:
-    return _document(_disk_elements(a, 0.0), 2.4)
-
-
-def render_lcf_svg(form: LeftCanonicalForm) -> str:
-    body = [
-        f'<text x="-1.0000" y="0.1000" font-size="0.3">'
-        f"d^{form.power}</text>"
-    ]
-    spacing = 2.6
-    for i, f in enumerate(form.factors):
-        body += _disk_elements(f, spacing * (i + 1))
-    width = 2.4 + spacing * len(form.factors)
-    return _document(body, width)
-
-
 def render_svg(target) -> str:
     """Render a CanonicalFactor or a LeftCanonicalForm."""
     if isinstance(target, CanonicalFactor):
-        return render_factor_svg(target)
-    if isinstance(target, LeftCanonicalForm):
-        return render_lcf_svg(target)
-    raise TypeError(f"cannot render {type(target).__name__}")
+        return _document(_disk_elements(target, 0.0), 2.4)
+    if not isinstance(target, LeftCanonicalForm):
+        raise TypeError(f"cannot render {type(target).__name__}")
+    body = [
+        f'<text x="-1.0000" y="0.1000" font-size="0.3">'
+        f"d^{target.power}</text>"
+    ]
+    spacing = 2.6
+    for i, f in enumerate(target.factors):
+        body += _disk_elements(f, spacing * (i + 1))
+    return _document(body, 2.4 + spacing * len(target.factors))

@@ -67,6 +67,8 @@ class BraidWord:
         for letter in self.letters:
             if not 1 <= letter.s < letter.t <= self.n:
                 raise ValueError(f"letter {letter.render()} out of range for n={self.n}")
+            if letter.sign not in (1, -1):
+                raise ValueError(f"letter {tuple(letter)} has sign {letter.sign}, not +1 or -1")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -389,10 +389,10 @@ class TestExitCodes:
         assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
     def test_out_of_memory_is_an_error_line(self, monkeypatch, capsys):
-        def exhausted(args):
+        def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setitem(bandforge.cli._COMMANDS, "nb", exhausted)
+        monkeypatch.setattr(bandforge.cli, "braid_report", exhausted)
         capture(["nb", "-n", "4", "A1"], expect_code=2)
         assert capsys.readouterr().err == "error: out of memory\n"
 

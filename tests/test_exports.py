@@ -16,6 +16,7 @@ REMOVED = (
     "is_sqp",
     "nb_conjugacy_report",
     "nb_report",
+    "star",
 )
 
 

@@ -1,4 +1,4 @@
-"""Canonical factors: enumeration, words, sets, complement, order, meet, diamond, star."""
+"""Canonical factors: enumeration, words, sets, complement, order, meet, diamond."""
 
 import ast
 import copy
@@ -22,7 +22,6 @@ from bandforge.factors import (
     meet,
     parse_partition_text,
     precedes,
-    star,
     tau,
 )
 from bandforge.normal_form import LeftCanonicalForm, lcf
@@ -113,6 +112,20 @@ class TestConstruction:
     def test_degenerate_n1(self):
         f = identity_factor(1)
         assert f == delta_factor(1) and f.is_identity and not f.is_delta
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_e_and_delta_are_the_partitions(self, n):
+        assert identity_factor(n) is factor(n, ())
+        assert delta_factor(n) is factor(n, [range(1, n + 1)])
+
+    @pytest.mark.parametrize("n", [0, 256])
+    @pytest.mark.parametrize("build", [identity_factor, delta_factor])
+    def test_e_and_delta_check_the_strand_count(self, n, build):
+        with pytest.raises(ValueError) as expected:
+            factor(n, ())
+        with pytest.raises(ValueError) as got:
+            build(n)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_crossing_check_matches_brute_force(self, n):
@@ -437,53 +450,6 @@ class TestDiamond:
                 assert d.word_length == a.word_length + b.word_length
         # Every (A, complement(A)) pair is defined, so at least 42 hits.
         assert defined >= len(factors)
-
-
-class TestStar:
-    def test_two_edges_make_delta(self):
-        assert star(factor(4, [(1, 2)]), factor(4, [(3, 4)])) == delta_factor(4)
-
-    def test_nested_edges(self):
-        assert star(b4("a4"), b4("a2")) == delta_factor(4)
-
-    def test_polygon_sizes_add(self):
-        a = factor(7, [(1, 2, 3, 4)])
-        b = factor(7, [(5, 6, 7)])
-        joined = star(a, b)
-        assert joined == factor(7, [(1, 2, 3, 4, 5, 6, 7)])
-
-    def test_commutative(self):
-        a, b = factor(6, [(1, 2)]), factor(6, [(4, 5, 6)])
-        assert star(a, b) == star(b, a)
-
-    def test_crossing_blocks_undefined(self):
-        assert star(factor(4, [(1, 3)]), factor(4, [(2, 4)])) is None
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError, match="single polygon"):
-            star(b4("a1a3"), b4("a2"))
-        with pytest.raises(ValueError, match="overlap"):
-            star(factor(4, [(1, 2)]), factor(4, [(2, 3)]))
-
-    def test_braid_identity_with_joining_edge(self):
-        # A * B equals the braid A B C for some single generator C.
-        cases = [
-            (factor(4, [(1, 2)]), factor(4, [(3, 4)])),
-            (b4("a4"), b4("a2")),
-            (factor(5, [(1, 2)]), factor(5, [(3, 4, 5)])),
-            (factor(6, [(2, 3)]), factor(6, [(5, 6)])),
-        ]
-        for a, b in cases:
-            joined = star(a, b)
-            assert joined is not None
-            n = a.n
-            base = factor_to_word(a) * factor_to_word(b)
-            witnesses = [
-                c
-                for c in all_chords(n)
-                if positive_equal(base * parse_word(f"a({c[0]},{c[1]})", n), factor_to_word(joined))
-            ]
-            assert witnesses, (a.text(), b.text())
 
 
 class TestTextForms:

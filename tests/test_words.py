@@ -2,6 +2,7 @@
 
 import pytest
 
+from bandforge.factors import _factor_letters, enumerate_factors
 from bandforge.normal_form import lcf
 from bandforge.words import (
     MAX_WORD_LETTERS,
@@ -155,6 +156,20 @@ class TestWordAlgebra:
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
             BraidWord(3, (BandLetter(4, 1, 1),))
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, 5])
+    def test_letter_sign_must_be_unit(self, sign):
+        with pytest.raises(ValueError, match=f"has sign {sign}"):
+            BraidWord(4, (BandLetter(2, 1, 1), BandLetter(3, 1, sign)))
+
+    def test_library_words_have_unit_signs(self, rng):
+        # Each of these builds a BraidWord, which rejects any other sign.
+        for f in enumerate_factors(5):
+            for sign in (1, -1):
+                BraidWord(5, _factor_letters(f, sign))
+        w = parse_word("a(3,1)^2 A(4,2) s2^-3 d D^2 B1", 4)
+        for word in (w, w.inverse(), w**3, w**-2, random_braid_word(6, 30, rng, neg=0.5)):
+            assert {l.sign for l in word.letters} <= {1, -1}
 
     def test_inverse_reverses_and_flips(self):
         w = parse_word("a1 B2", 4)
