@@ -212,54 +212,53 @@ def _cmd_catalog(args) -> tuple[dict, str]:
     return payload, "\n".join(lines)
 
 
-def _pair_row(a: CanonicalFactor, b: CanonicalFactor) -> dict:
+def _pair_row(text: dict[CanonicalFactor, str], a: CanonicalFactor, b: CanonicalFactor) -> dict:
     # The pair comes back unchanged exactly when complement(a) ^ b = e.
     wa, wb = left_weight_pair(a, b)
     return {
-        "left": a.text(),
-        "right": b.text(),
+        "left": text[a],
+        "right": text[b],
         "increasable": wa is not a,
-        "weighted": [wa.text(), wb.text()],
+        "weighted": [text[wa], text[wb]],
     }
 
 
 def pair_rows(n: int) -> list[dict]:
     """Left-weighting classification of every ordered factor pair."""
-    factors = enumerate_factors(n)
-    return [_pair_row(a, b) for a in factors for b in factors]
+    text = {f: f.text() for f in enumerate_factors(n)}
+    return [_pair_row(text, a, b) for a in text for b in text]
 
 
 def collapse_rows(n: int) -> list[dict]:
     """One row per rotation class of ordered pairs, with the orbit size.
 
-    Each tau-orbit of pairs is visited once.  Its row is the member with the
-    least (text, text); tau keeps whether a pair is increasable, so that row
-    speaks for the whole orbit.
+    Visiting pairs in (text, text) order meets each tau-orbit first at its
+    least pair, whose row speaks for the orbit (tau keeps increasability).
     """
-    factors = enumerate_factors(n)
+    text = dict(sorted(((f, f.text()) for f in enumerate_factors(n)), key=lambda p: p[1]))
     seen: set[tuple[CanonicalFactor, CanonicalFactor]] = set()
     rows = []
-    for a in factors:
-        for b in factors:
+    for a in text:
+        for b in text:
             if (a, b) in seen:
                 continue
             orbit = {(tau(a, k), tau(b, k)) for k in range(n)}
             seen |= orbit
-            row = _pair_row(*min(orbit, key=lambda pair: (pair[0].text(), pair[1].text())))
+            row = _pair_row(text, a, b)
             row["orbit"] = len(orbit)
             rows.append(row)
-    return sorted(rows, key=lambda row: (row["left"], row["right"]))
+    return rows
 
 
 def _cmd_tables(args) -> tuple[dict, str]:
     rows = collapse_rows(args.n) if args.collapse else pair_rows(args.n)
-    increasable = [r for r in rows if r["increasable"]]
+    increasable = sum(r["increasable"] for r in rows)
     payload = {
         "n": args.n,
         "collapsed": bool(args.collapse),
         "rows": rows,
-        "increasable_count": len(increasable),
-        "non_increasing_count": len(rows) - len(increasable),
+        "increasable_count": increasable,
+        "non_increasing_count": len(rows) - increasable,
     }
     lines = []
     for r in rows:

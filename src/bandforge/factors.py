@@ -396,25 +396,6 @@ def _complement_perm(a: CanonicalFactor) -> bytes:
     return delta.translate(bytes.maketrans(a._perm, ident))
 
 
-def _complement_label(a: CanonicalFactor) -> bytes | bytearray:
-    """complement(A)'s labels, read off its permutation when it is not interned.
-
-    The factor that travels through a pass of left weighting is mostly new,
-    and so is its complement, whose labels are all the step reads: building
-    and interning it would cost more, and feed the sweep.
-    """
-    if (c := a._complement) is None:
-        q = _complement_perm(a)
-        if (c := _INTERN.get(q)) is None:
-            label = bytearray(_tables(a.n)[0])
-            for k, x in enumerate(q):
-                if x < k:
-                    label[k] = label[x]
-            return label
-        _SET_COMPLEMENT(a, c)
-    return c._label
-
-
 def precedes(a: CanonicalFactor, b: CanonicalFactor) -> bool:
     """The prefix order A < B: every block of A lies inside a block of B.
 
@@ -503,8 +484,23 @@ def _left_weight(a: CanonicalFactor, b: CanonicalFactor) -> tuple[CanonicalFacto
     is returned as it is.  Otherwise C's permutation gives A*C as k -> pa[pc[k]]
     and C^-1 * B as k -> pc^-1[pb[k]]; C itself is not interned.  C precedes
     complement(A) (it is their meet), so A*C needs no diamond test.
+
+    The factor that travels through a pass of left weighting is mostly new,
+    and so is its complement, whose labels are all the step reads: when that
+    complement is not interned, its labels are read off its permutation, since
+    building and interning it would cost more, and feed the sweep.
     """
-    pc = _meet_perm(_complement_label(a), b._label, b._tails)
+    if (c := a._complement) is not None:
+        lc = c._label
+    elif (c := _INTERN.get(q := _complement_perm(a))) is not None:
+        _SET_COMPLEMENT(a, c)
+        lc = c._label
+    else:
+        lc = bytearray(_tables(a.n)[0])
+        for k, x in enumerate(q):
+            if x < k:
+                lc[k] = lc[x]
+    pc = _meet_perm(lc, b._label, b._tails)
     if pc is None:
         return a, b
     return (

@@ -16,8 +16,14 @@ x = tau(A_1 ... A_{j-1}) b^-1 A_{j+1} ... A_k has exactly one negative band;
 at n = 2, x = delta^-1 itself.  A qualifying element certifies the class at
 every n.  The test walks the set from the summit representative and stops
 at the first element that qualifies, which is usually the representative
-itself.  For n <= 4 the criterion is also necessary, so a False verdict is
-definitive there; for n >= 5 it is inconclusive.
+itself.  Above ENUMERATION_BOUND the walk stops after the representative,
+since listing the conjugators tabulates every factor, and the word's own
+normal form is then tested, which qualifies it with no conjugator.  Only
+there: at n <= 8 the verdict stays a function of the class.  For n <= 4 the
+criterion is also necessary, so a False verdict is definitive there; for
+n >= 5 it is inconclusive, and at n = 6 it is not necessary:
+A(6,3) a(5,3) a(4,3) a(5,2) a(5,4) a(4,1)^2 a(6,3) a(4,1) has inf_s = -1
+and one negative band, but all 48 elements of its super summit set count 2.
 
 nb(beta) is the minimal number of negative bands over all band words.  The
 reduction trades each leading delta^-1 against a longest positive entry,
@@ -36,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Optional, Union
 
 from .conjugacy import SummitData, _sss_walk, resolve_budget, sss_representative
-from .factors import complement, tau
+from .factors import ENUMERATION_BOUND, complement, tau
 from .fdtc import FdtcInterval
 from .normal_form import (
     LeftCanonicalForm,
@@ -188,11 +195,12 @@ class AsqpCertificate:
 class StrictAsqpVerdict:
     """Outcome of the strictly-ASQP conjugacy test.
 
-    holds: some super summit element has closed-form negative-band count 1
-    (module docstring), so it spells a word with one negative band; holding
-    is definitive at every n and comes with the certificate.  For n <= 4 the
-    criterion is also necessary, so False is definitive too; for n >= 5 a
-    False verdict is inconclusive.
+    holds: some super summit element (above ENUMERATION_BOUND: the summit
+    representative or the word's own normal form) has closed-form
+    negative-band count 1 (module docstring), so it spells a word with one
+    negative band; holding is definitive at every n and comes with the
+    certificate.  For n <= 4 the criterion is also necessary, so False is
+    definitive too; for n >= 5 a False verdict is inconclusive.
     """
 
     holds: bool
@@ -264,15 +272,21 @@ class BraidReport:
         """Conjugacy to a braid with exactly one negative band.
 
         Walks the super summit set from the representative and stops at the
-        first element whose closed-form negative-band count is 1.
+        first element whose closed-form negative-band count is 1.  Above
+        ENUMERATION_BOUND it tests the representative, then the word's own
+        normal form.
         """
         data = self.summit
         if data.inf_conj == -1:
-            for element, steps in _sss_walk(data, self.budget):
+            past_bound = self.form.n > ENUMERATION_BOUND
+            walk = _sss_walk(data, self.budget)
+            for element, steps in islice(walk, 1) if past_bound else walk:
                 if _nb_from_form(element).nb_upper == 1:
                     # reduce makes the one trade, at the leftmost longest factor.
                     certificate = AsqpCertificate(data.witness_steps + steps, reduce(element))
                     return StrictAsqpVerdict(True, True, certificate)
+            if past_bound and _nb_from_form(self.form).nb_upper == 1:
+                return StrictAsqpVerdict(True, True, AsqpCertificate((), reduce(self.form)))
         return StrictAsqpVerdict(False, self.form.n <= 4)
 
 

@@ -18,7 +18,7 @@ import bandforge.positivity
 from bandforge.cli import run
 from bandforge.normal_form import lcf
 from bandforge.positivity import braid_report
-from bandforge.words import MAX_STRANDS, MAX_WORD_LETTERS, parse_word
+from bandforge.words import MAX_STRANDS, MAX_WORD_LETTERS, BraidWord, parse_word
 
 import summit_corpus
 from conftest import counted, random_braid_word, w4
@@ -381,6 +381,35 @@ class TestExitCodes:
         assert braid_report(w).strictly_asqp.holds is True
         out = capture(["classify", "-n", "9", w.render(), "--budget", "1", "--json"])
         assert json.loads(out)["conj_strictly_asqp"] is True
+
+    def test_own_form_qualifies_past_enumeration_bound(self):
+        # The representative has two negative bands, and listing the rest of
+        # the summit set needs every factor of B_9; the word's own form has one.
+        out = capture(["classify", "-n", "9", "A(5,1) a(9,3) a(7,2)", "--json"])
+        assert json.loads(out)["conj_strictly_asqp"] is True
+
+    @pytest.mark.parametrize("negatives", [1, 2])
+    def test_classify_answers_past_enumeration_bound(self, negatives):
+        rng = random.Random(2900 + negatives)
+        held = 0
+        for _ in range(60):
+            letters = list(random_braid_word(9, 12, rng).letters)
+            for i in rng.sample(range(12), negatives):
+                letters[i] = letters[i].inverse()
+            w = BraidWord(9, tuple(letters))
+            capture(["classify", "-n", "9", w.render(), "--json"])
+            report = braid_report(w)
+            verdict = report.strictly_asqp
+            # The word's own form certifies a class it meets with count 1.
+            # A word spelled with one negative letter can count more at n = 9.
+            if report.nb.nb_upper == 1 and report.summit.inf_conj == -1:
+                assert verdict.holds, w.render()
+            if verdict.holds:
+                certificate = verdict.certificate
+                assert lcf(w.conjugated_by(certificate.conjugator)) == lcf(certificate.word)
+                assert sum(l.sign < 0 for l in certificate.word.letters) == 1, w.render()
+                held += 1
+        assert held
 
     @pytest.mark.parametrize("command", ["nb", "fdtc"])
     def test_budget_not_offered(self, command, capsys):

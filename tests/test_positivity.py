@@ -461,6 +461,19 @@ class TestStrictlyAsqpAgainstAllRule:
                 assert verdict.certificate is None
         assert gains[5] > 0 and gains[6] > 0
 
+    def test_criterion_not_necessary_at_six(self):
+        # One negative letter and inf_s = -1, so the class is strictly ASQP,
+        # but no super summit element has count 1.  Below ENUMERATION_BOUND
+        # the verdict reads the class alone, so it stays False, inconclusive.
+        w = parse_word("A(6,3) a(5,3) a(4,3) a(5,2) a(5,4) a(4,1) a(4,1) a(6,3) a(4,1)", 6)
+        report = braid_report(w)
+        assert count_negative_bands(w) == 1 and report.summit.inf_conj == -1
+        assert report.nb.nb_upper == 1
+        elements = sss_enumerate(report.summit)
+        assert len(elements) == 48
+        assert {positivity._nb_from_form(x).nb_upper for x in elements} == {2}
+        assert (report.strictly_asqp.holds, report.strictly_asqp.definitive) == (False, False)
+
 
 @functools.cache
 def factors_through_nine(n):

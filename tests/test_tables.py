@@ -8,16 +8,28 @@ nontrivial pairs in 36 rotation classes (30 free orbits of size 4 plus 6
 orbits of size 2 through the rotation-symmetric factors).
 
 collapse_rows, which visits each rotation orbit of pairs once, is checked
-for n = 1..6 against the text-keyed collapse of pair_rows kept below.
+for n = 1..6 against the text-keyed collapse of pair_rows kept below.  Both
+tables read each factor's partition text once, and the CLI output for
+n = 5 and 6 is pinned by digest.
 """
+
+import hashlib
+import io
+from collections import Counter
 
 import pytest
 
-from bandforge.cli import collapse_rows, pair_rows
-from bandforge.factors import delta_factor, enumerate_factors, identity_factor, tau
+from bandforge.cli import collapse_rows, pair_rows, run
+from bandforge.factors import (
+    CanonicalFactor,
+    delta_factor,
+    enumerate_factors,
+    identity_factor,
+    tau,
+)
 from bandforge.normal_form import left_weight_pair
 
-from conftest import b4, catalan
+from conftest import b4, catalan, counted
 from transfer_reference import right_set, starting_set
 
 # Pairs whose product becomes more left weighted, with the terminal
@@ -163,3 +175,31 @@ def test_collapsed_rows_match_text_keyed_reference(n):
     rows = collapse_rows(n)
     assert rows == reference_collapse_rows(n)
     assert sum(row["orbit"] for row in rows) == catalan(n) ** 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("build", [pair_rows, collapse_rows], ids=lambda f: f.__name__)
+def test_text_once_per_factor(build, n, monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(CanonicalFactor, "text", counted(calls, "text", CanonicalFactor.text))
+    build(n)
+    assert calls["text"] == catalan(n)
+
+
+# sha256 of the CLI output, recorded before the tables were built from
+# per-factor texts: the rows, their order and their text must not move.
+OUTPUT_DIGESTS = {
+    ("-n", "5"): "587744643a5785edf987c35204cc19ecbd874bf5d30300a2de9ec010033589bd",
+    ("-n", "5", "--json"): "226aec98cdca963334953a98c751d0a31c515286036d04b1f389c8c6c2f13228",
+    ("-n", "6", "--collapse"): "364a28d2b25b301edac3cd40657e29c8ca7fbf7610fdca8280c32abaca0bc1ea",
+    ("-n", "6", "--collapse", "--json"): (
+        "b806d538859f18439fbbc7bbe9c9b002d2a376979f177229b2c996fb08a59eaa"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_DIGESTS, ids=" ".join)
+def test_output_digest(argv):
+    buf = io.StringIO()
+    assert run(["tables", *argv], out=buf) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == OUTPUT_DIGESTS[argv]
